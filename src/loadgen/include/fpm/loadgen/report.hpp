@@ -7,7 +7,8 @@
 /// degraded / drop counts and the per-verb breakdown.  to_json() renders
 /// the BENCH_loadgen.json document (schema `fpmpart-loadgen-v1`,
 /// documented field-by-field in docs/benchmarking.md) and from_json()
-/// parses it back *exactly* — doubles travel as shortest-exact %.17g, so
+/// parses it back *exactly* — doubles travel as %.17g (17 significant
+/// digits: not the shortest form, but bit-for-bit round-trip safe), so
 /// a Report is closed under the round trip and the perf gate can compare
 /// a fresh run against a checked-in baseline without tolerance being
 /// eaten by formatting.

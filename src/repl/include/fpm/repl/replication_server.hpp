@@ -25,7 +25,9 @@
 /// parking that wait inside an epoll loop would either busy-poll or
 /// require cross-thread wakeup plumbing for, realistically, a handful
 /// of replicas.  Thread-per-follower keeps the hot serve path and the
-/// replication path fully independent.
+/// replication path fully independent.  Each session is a
+/// serve::LineConn; a `REPL HELLO` longer than 4 KiB ends that session
+/// and no other.
 ///
 /// Fault points: `repl.handshake` (drop the connection instead of
 /// answering HELLO) and `repl.send` (drop it instead of shipping a
@@ -42,6 +44,7 @@
 #include <vector>
 
 #include "fpm/repl/replication_log.hpp"
+#include "fpm/serve/transport.hpp"
 
 namespace fpm::repl {
 
@@ -91,13 +94,16 @@ public:
 
 private:
     struct Session {
-        std::atomic<int> fd{-1};
+        Session(int fd, double io_timeout) : conn(fd, io_timeout) {}
+
+        serve::LineConn conn;
         std::atomic<bool> done{false};
         std::thread thread;
     };
 
     void accept_loop();
     void run_session(Session& session);
+    void serve_follower(serve::LineConn& conn);
     void reap_finished_locked();
 
     ReplicationLog& log_;

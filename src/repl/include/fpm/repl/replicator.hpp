@@ -34,7 +34,10 @@
 /// same knobs the serve client retries with) paces the reconnect.  The
 /// connection attempt itself uses ServeConfig::connect_timeout and
 /// recv_timeout; a primary that stays silent past recv_timeout (it
-/// heartbeats every heartbeat_interval when idle) counts as dead.
+/// heartbeats every heartbeat_interval when idle) counts as dead.  The
+/// stream is a serve::LineConn, so a control line longer than
+/// kMaxRequestLine, or a `bytes=` header announcing more than one WAL
+/// frame, also severs the connection — before any of it is buffered.
 ///
 /// Observability: the serve layer's ReplStatus letterbox (role, source,
 /// lag, applied generation — surfaced in STATS/HEALTH) plus repl.*
@@ -51,6 +54,7 @@
 #include "fpm/repl/replication_log.hpp"
 #include "fpm/serve/client.hpp"
 #include "fpm/serve/request_engine.hpp"
+#include "fpm/serve/transport.hpp"
 #include "fpm/store/model_store.hpp"
 
 namespace fpm::repl {
@@ -109,8 +113,6 @@ public:
     }
 
 private:
-    class Conn;
-
     void run();
     void run_once();
     void apply_frame(const std::string& frame, const std::string& origin);
@@ -123,9 +125,9 @@ private:
 
     std::thread thread_;
     std::atomic<bool> stop_{false};
-    std::atomic<int> fd_{-1};  ///< live socket, for stop() to sever
-    std::mutex stop_mutex_;
+    std::mutex stop_mutex_;  ///< guards conn_; pairs with stop_cv_
     std::condition_variable stop_cv_;
+    serve::LineConn* conn_ = nullptr;  ///< live stream, for stop() to sever
 
     ReplPosition position_;  ///< replication-thread only
     std::atomic<std::uint64_t> applied_generation_{0};

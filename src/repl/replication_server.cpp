@@ -1,15 +1,10 @@
 #include "fpm/repl/replication_server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
-#include <cstring>
 
 #include "fpm/common/error.hpp"
 #include "fpm/fault/fault.hpp"
@@ -38,99 +33,19 @@ struct ServerMetrics {
     }
 };
 
-timeval to_timeval(double seconds) {
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(seconds);
-    tv.tv_usec =
-        static_cast<suseconds_t>((seconds - std::floor(seconds)) * 1e6);
-    return tv;
-}
-
-/// Thrown (privately) when the follower socket fails: the session ends.
-struct SessionTorn {};
-
-void send_all(int fd, const char* data, std::size_t size) {
-    std::size_t sent = 0;
-    while (sent < size) {
-        const ssize_t n =
-            ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-        if (n < 0 && errno == EINTR) {
-            continue;
-        }
-        if (n <= 0) {
-            throw SessionTorn{};
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-}
-
-void send_all(int fd, const std::string& data) {
-    send_all(fd, data.data(), data.size());
-}
-
-/// Reads one '\n'-terminated line (CR stripped); empty read = torn.
-std::string read_line(int fd) {
-    std::string line;
-    char byte;
-    for (;;) {
-        const ssize_t n = ::recv(fd, &byte, 1, 0);
-        if (n < 0 && errno == EINTR) {
-            continue;
-        }
-        if (n <= 0) {
-            throw SessionTorn{};
-        }
-        if (byte == '\n') {
-            if (!line.empty() && line.back() == '\r') {
-                line.pop_back();
-            }
-            return line;
-        }
-        line.push_back(byte);
-        if (line.size() > 4096) {
-            throw SessionTorn{};  // no REPL line is remotely this long
-        }
-    }
-}
+/// Bound on the one line a follower sends (`REPL HELLO <seg>:<off>`);
+/// no REPL line is remotely this long.
+constexpr std::size_t kMaxHandshakeLine = 4096;
 
 } // namespace
 
 ReplicationServer::ReplicationServer(ReplicationLog& log,
                                      ReplServerConfig config)
     : log_(log), config_(std::move(config)) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    FPM_CHECK(listen_fd_ >= 0,
-              std::string("socket(): ") + std::strerror(errno));
-    try {
-        const int one = 1;
-        ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(config_.port);
-        FPM_CHECK(::inet_pton(AF_INET, config_.bind_address.c_str(),
-                              &addr.sin_addr) == 1,
-                  "invalid bind address: " + config_.bind_address);
-        FPM_CHECK(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                         sizeof addr) == 0,
-                  "bind(" + config_.bind_address + ":" +
-                      std::to_string(config_.port) +
-                      "): " + std::strerror(errno));
-        FPM_CHECK(::listen(listen_fd_, config_.backlog) == 0,
-                  std::string("listen(): ") + std::strerror(errno));
-
-        sockaddr_in bound{};
-        socklen_t len = sizeof bound;
-        FPM_CHECK(::getsockname(listen_fd_,
-                                reinterpret_cast<sockaddr*>(&bound),
-                                &len) == 0,
-                  std::string("getsockname(): ") + std::strerror(errno));
-        port_ = ntohs(bound.sin_port);
-    } catch (...) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        throw;
-    }
+    const serve::Listener listener = serve::listen_tcp(
+        config_.bind_address, config_.port, config_.backlog, false);
+    listen_fd_ = listener.fd;
+    port_ = listener.port;
     acceptor_ = std::thread([this] { accept_loop(); });
 }
 
@@ -167,18 +82,12 @@ void ReplicationServer::stop() {
         sessions.swap(sessions_);
     }
     for (auto& session : sessions) {
-        // The session thread never closes the fd itself (a concurrent
-        // close would race fd reuse); shutdown() wakes it, join() makes
-        // the close safe.
-        const int fd = session->fd.load(std::memory_order_acquire);
-        if (fd >= 0) {
-            ::shutdown(fd, SHUT_RDWR);
-        }
+        // The session thread never closes its socket (a concurrent close
+        // would race fd reuse); shutdown() wakes it, and the close comes
+        // with the Session after join().
+        session->conn.shutdown();
         if (session->thread.joinable()) {
             session->thread.join();
-        }
-        if (fd >= 0) {
-            ::close(fd);
         }
     }
 }
@@ -188,10 +97,6 @@ void ReplicationServer::reap_finished_locked() {
         if ((*it)->done.load(std::memory_order_acquire)) {
             if ((*it)->thread.joinable()) {
                 (*it)->thread.join();
-            }
-            const int fd = (*it)->fd.load(std::memory_order_acquire);
-            if (fd >= 0) {
-                ::close(fd);
             }
             it = sessions_.erase(it);
         } else {
@@ -220,118 +125,106 @@ void ReplicationServer::accept_loop() {
             continue;  // racing stop(), or a transient accept failure
         }
 
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        if (config_.io_timeout > 0.0) {
-            const timeval tv = to_timeval(config_.io_timeout);
-            ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-            ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-        }
-
         std::lock_guard lock(sessions_mutex_);
         reap_finished_locked();
-        auto session = std::make_unique<Session>();
+        auto session = std::make_unique<Session>(fd, config_.io_timeout);
         Session& ref = *session;
-        ref.fd.store(fd, std::memory_order_release);
         sessions_.push_back(std::move(session));
         ref.thread = std::thread([this, &ref] { run_session(ref); });
     }
 }
 
 void ReplicationServer::run_session(Session& session) {
-    const int fd = session.fd.load(std::memory_order_acquire);
     ServerMetrics::get().sessions.add(1);
     try {
-        // -- handshake ------------------------------------------------
-        const std::string hello = read_line(fd);
-        static auto& handshake_fault = fault::point("repl.handshake");
-        if (handshake_fault.fire()) {
-            throw SessionTorn{};  // primary "crashes" before answering
-        }
-        static const std::string kHello = "REPL HELLO ";
-        if (hello.rfind(kHello, 0) != 0) {
-            send_all(fd, "ERR internal malformed REPL handshake\n");
-            throw SessionTorn{};
-        }
-        ReplPosition pos;
-        try {
-            pos = ReplPosition::parse(hello.substr(kHello.size()));
-        } catch (const Error&) {
-            send_all(fd, "ERR internal malformed REPL position\n");
-            throw SessionTorn{};
-        }
-
-        store::ModelStore& store = log_.store();
-        if (!log_.position_available(pos)) {
-            // Fresh follower (0:0) or one standing in a GC'd segment:
-            // ship the full compacted state, then stream from the
-            // position the snapshot was taken at.
-            const store::ReplSnapshot snap = store.replication_snapshot();
-            pos = ReplPosition{snap.segment, snap.offset};
-            std::string header = "OK REPL SNAP sets=";
-            header += std::to_string(snap.payloads.size());
-            header += " next=";
-            header += std::to_string(snap.next_generation);
-            header += " pos=";
-            header += pos.to_string();
-            header += '\n';
-            send_all(fd, header);
-            for (const std::string& payload : snap.payloads) {
-                const std::string frame = store::encode_frame(payload);
-                send_all(fd, "REPL SNAP bytes=" +
-                                 std::to_string(frame.size()) + "\n");
-                send_all(fd, frame);
-            }
-            snapshots_sent_.fetch_add(1, std::memory_order_relaxed);
-            ServerMetrics::get().snapshots_sent.add(1);
-        } else {
-            send_all(fd, "OK REPL STREAM pos=" + pos.to_string() + "\n");
-        }
-
-        // -- push stream ----------------------------------------------
-        static auto& send_fault = fault::point("repl.send");
-        std::string payload;
-        while (!stopped_.load(std::memory_order_relaxed)) {
-            switch (log_.next(pos, payload, config_.heartbeat_interval)) {
-            case ReplicationLog::Next::kFrame: {
-                if (send_fault.fire()) {
-                    throw SessionTorn{};  // "crash" mid-ship
-                }
-                const std::string frame = store::encode_frame(payload);
-                send_all(fd, "REPL FRAME bytes=" +
-                                 std::to_string(frame.size()) +
-                                 " pos=" + pos.to_string() + "\n");
-                send_all(fd, frame);
-                frames_sent_.fetch_add(1, std::memory_order_relaxed);
-                ServerMetrics::get().frames_sent.add(1);
-                break;
-            }
-            case ReplicationLog::Next::kTimeout:
-                send_all(fd, "REPL PING committed=" +
-                                 std::to_string(
-                                     store.committed_generation()) +
-                                 " pos=" + pos.to_string() + "\n");
-                ServerMetrics::get().heartbeats_sent.add(1);
-                break;
-            case ReplicationLog::Next::kGap:
-                // The position fell behind a GC: sever so the follower
-                // reconnects and handshakes into the snapshot path.
-                throw SessionTorn{};
-            case ReplicationLog::Next::kStopped:
-                throw SessionTorn{};
-            }
-        }
-    } catch (const SessionTorn&) {
-        // expected session end
+        serve_follower(session.conn);
     } catch (...) {
-        // any other failure also just ends the session
+        // A torn socket, an over-long handshake or any other failure
+        // just ends this session; the other followers keep streaming.
     }
     // shutdown() tells the peer now (it must not wait out a recv
     // timeout to notice); the fd itself stays open until reap/stop
-    // joins this thread and closes it, so no close races fd reuse.
-    ::shutdown(fd, SHUT_RDWR);
+    // joins this thread and destroys the Session, so no close races fd
+    // reuse.
+    session.conn.shutdown();
     ServerMetrics::get().sessions.add(-1);
     session.done.store(true, std::memory_order_release);
+}
+
+void ReplicationServer::serve_follower(serve::LineConn& conn) {
+    // -- handshake ----------------------------------------------------
+    const std::string hello = conn.read_line(kMaxHandshakeLine);
+    static auto& handshake_fault = fault::point("repl.handshake");
+    if (handshake_fault.fire()) {
+        return;  // primary "crashes" before answering
+    }
+    static const std::string kHello = "REPL HELLO ";
+    if (hello.rfind(kHello, 0) != 0) {
+        conn.send_all("ERR internal malformed REPL handshake\n");
+        return;
+    }
+    ReplPosition pos;
+    try {
+        pos = ReplPosition::parse(hello.substr(kHello.size()));
+    } catch (const Error&) {
+        conn.send_all("ERR internal malformed REPL position\n");
+        return;
+    }
+
+    store::ModelStore& store = log_.store();
+    if (!log_.position_available(pos)) {
+        // Fresh follower (0:0) or one standing in a GC'd segment: ship
+        // the full compacted state, then stream from the position the
+        // snapshot was taken at.
+        const store::ReplSnapshot snap = store.replication_snapshot();
+        pos = ReplPosition{snap.segment, snap.offset};
+        conn.send_all("OK REPL SNAP sets=" +
+                      std::to_string(snap.payloads.size()) +
+                      " next=" + std::to_string(snap.next_generation) +
+                      " pos=" + pos.to_string() + "\n");
+        for (const std::string& payload : snap.payloads) {
+            const std::string frame = store::encode_frame(payload);
+            conn.send_all("REPL SNAP bytes=" + std::to_string(frame.size()) +
+                          "\n");
+            conn.send_all(frame);
+        }
+        snapshots_sent_.fetch_add(1, std::memory_order_relaxed);
+        ServerMetrics::get().snapshots_sent.add(1);
+    } else {
+        conn.send_all("OK REPL STREAM pos=" + pos.to_string() + "\n");
+    }
+
+    // -- push stream --------------------------------------------------
+    static auto& send_fault = fault::point("repl.send");
+    std::string payload;
+    while (!stopped_.load(std::memory_order_relaxed)) {
+        switch (log_.next(pos, payload, config_.heartbeat_interval)) {
+        case ReplicationLog::Next::kFrame: {
+            if (send_fault.fire()) {
+                return;  // "crash" mid-ship
+            }
+            const std::string frame = store::encode_frame(payload);
+            conn.send_all("REPL FRAME bytes=" + std::to_string(frame.size()) +
+                          " pos=" + pos.to_string() + "\n");
+            conn.send_all(frame);
+            frames_sent_.fetch_add(1, std::memory_order_relaxed);
+            ServerMetrics::get().frames_sent.add(1);
+            break;
+        }
+        case ReplicationLog::Next::kTimeout:
+            conn.send_all("REPL PING committed=" +
+                          std::to_string(store.committed_generation()) +
+                          " pos=" + pos.to_string() + "\n");
+            ServerMetrics::get().heartbeats_sent.add(1);
+            break;
+        case ReplicationLog::Next::kGap:
+            // The position fell behind a GC: sever so the follower
+            // reconnects and handshakes into the snapshot path.
+            return;
+        case ReplicationLog::Next::kStopped:
+            return;
+        }
+    }
 }
 
 } // namespace fpm::repl

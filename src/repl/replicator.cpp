@@ -1,23 +1,15 @@
 #include "fpm/repl/replicator.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <cstring>
+#include <cstdlib>
 
 #include "fpm/common/error.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/obs/metrics.hpp"
 #include "fpm/serve/repl_status.hpp"
+#include "fpm/serve/transport.hpp"
 #include "fpm/store/wal.hpp"
 
 namespace fpm::repl {
@@ -45,16 +37,6 @@ struct ReplicaMetrics {
         return metrics;
     }
 };
-
-timeval to_timeval(double seconds) {
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(seconds);
-    tv.tv_usec =
-        static_cast<suseconds_t>((seconds - std::floor(seconds)) * 1e6);
-    return tv;
-}
-
-constexpr std::size_t kFrameHeaderBytes = 8;
 
 std::uint32_t load_u32le(const unsigned char* p) noexcept {
     return static_cast<std::uint32_t>(p[0]) |
@@ -87,153 +69,6 @@ std::uint64_t parse_u64_field(const std::string& line,
 }
 
 } // namespace
-
-/// Buffered blocking connection to the primary's replication port.
-/// Throws fpm::Error on any transport failure — the run loop treats
-/// every throw the same way (sever, back off, reconnect).
-class Replicator::Conn {
-public:
-    Conn(const serve::Endpoint& target, const serve::ServeConfig& transport,
-         std::atomic<int>& shared_fd)
-        : shared_fd_(shared_fd) {
-        fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        FPM_CHECK(fd_ >= 0,
-                  std::string("socket(): ") + std::strerror(errno));
-        try {
-            sockaddr_in addr{};
-            addr.sin_family = AF_INET;
-            addr.sin_port = htons(target.port);
-            FPM_CHECK(::inet_pton(AF_INET, target.host.c_str(),
-                                  &addr.sin_addr) == 1,
-                      "invalid replication source address: " + target.host);
-            connect_with_timeout(addr, transport.connect_timeout);
-            const int one = 1;
-            ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-            if (transport.recv_timeout > 0.0) {
-                const timeval tv = to_timeval(transport.recv_timeout);
-                ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-                ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-            }
-        } catch (...) {
-            ::close(fd_);
-            fd_ = -1;
-            throw;
-        }
-        shared_fd_.store(fd_, std::memory_order_release);
-    }
-
-    ~Conn() {
-        shared_fd_.store(-1, std::memory_order_release);
-        if (fd_ >= 0) {
-            ::close(fd_);
-        }
-    }
-
-    Conn(const Conn&) = delete;
-    Conn& operator=(const Conn&) = delete;
-
-    void send_all(const std::string& data) {
-        std::size_t sent = 0;
-        while (sent < data.size()) {
-            const ssize_t n = ::send(fd_, data.data() + sent,
-                                     data.size() - sent, MSG_NOSIGNAL);
-            if (n < 0 && errno == EINTR) {
-                continue;
-            }
-            FPM_CHECK(n > 0, std::string("repl send(): ") +
-                                 (n < 0 ? std::strerror(errno)
-                                        : "connection closed"));
-            sent += static_cast<std::size_t>(n);
-        }
-    }
-
-    std::string read_line() {
-        for (;;) {
-            const std::size_t newline = buffer_.find('\n');
-            if (newline != std::string::npos) {
-                std::string line = buffer_.substr(0, newline);
-                buffer_.erase(0, newline + 1);
-                if (!line.empty() && line.back() == '\r') {
-                    line.pop_back();
-                }
-                return line;
-            }
-            fill();
-        }
-    }
-
-    /// Reads exactly `count` bytes (after any buffered carry-over).
-    std::string read_exact(std::size_t count) {
-        while (buffer_.size() < count) {
-            fill();
-        }
-        std::string data = buffer_.substr(0, count);
-        buffer_.erase(0, count);
-        return data;
-    }
-
-private:
-    void connect_with_timeout(const sockaddr_in& addr, double timeout) {
-        if (timeout <= 0.0) {
-            FPM_CHECK(::connect(fd_,
-                                reinterpret_cast<const sockaddr*>(&addr),
-                                sizeof addr) == 0,
-                      std::string("repl connect(): ") +
-                          std::strerror(errno));
-            return;
-        }
-        const int flags = ::fcntl(fd_, F_GETFL, 0);
-        FPM_CHECK(flags >= 0,
-                  std::string("fcntl(): ") + std::strerror(errno));
-        FPM_CHECK(::fcntl(fd_, F_SETFL, flags | O_NONBLOCK) == 0,
-                  std::string("fcntl(): ") + std::strerror(errno));
-        const int rc = ::connect(
-            fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
-        if (rc != 0) {
-            FPM_CHECK(errno == EINPROGRESS,
-                      std::string("repl connect(): ") +
-                          std::strerror(errno));
-            pollfd pfd{};
-            pfd.fd = fd_;
-            pfd.events = POLLOUT;
-            int ready;
-            do {
-                ready = ::poll(&pfd, 1, static_cast<int>(timeout * 1e3));
-            } while (ready < 0 && errno == EINTR);
-            FPM_CHECK(ready > 0, ready == 0
-                                     ? "repl connect(): timed out"
-                                     : std::string("poll(): ") +
-                                           std::strerror(errno));
-            int err = 0;
-            socklen_t len = sizeof err;
-            FPM_CHECK(::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &err, &len) ==
-                          0,
-                      std::string("getsockopt(): ") + std::strerror(errno));
-            FPM_CHECK(err == 0, std::string("repl connect(): ") +
-                                    std::strerror(err));
-        }
-        FPM_CHECK(::fcntl(fd_, F_SETFL, flags) == 0,
-                  std::string("fcntl(): ") + std::strerror(errno));
-    }
-
-    void fill() {
-        char chunk[8192];
-        const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-        if (n < 0 && errno == EINTR) {
-            return;
-        }
-        FPM_CHECK(n > 0,
-                  n == 0 ? std::string("repl recv(): primary closed the "
-                                       "connection")
-                         : std::string("repl recv(): ") +
-                               std::strerror(errno));
-        buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-
-    std::atomic<int>& shared_fd_;
-    int fd_ = -1;
-    std::string buffer_;
-};
 
 Replicator::Replicator(serve::RequestEngine& engine,
                        store::ModelStore* local_store,
@@ -270,10 +105,9 @@ void Replicator::stop() {
     {
         std::lock_guard lock(stop_mutex_);
         stop_cv_.notify_all();
-    }
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd >= 0) {
-        ::shutdown(fd, SHUT_RDWR);  // wake a blocked recv; Conn closes
+        if (conn_ != nullptr) {
+            conn_->shutdown();  // wake a blocked read; run_once() closes
+        }
     }
     if (thread_.joinable()) {
         thread_.join();
@@ -319,7 +153,23 @@ void Replicator::run() {
 }
 
 void Replicator::run_once() {
-    Conn conn(config_.source, config_.transport, fd_);
+    serve::LineConn conn(config_.source, config_.transport.connect_timeout,
+                         config_.transport.recv_timeout);
+    {
+        std::lock_guard lock(stop_mutex_);
+        if (stop_.load(std::memory_order_relaxed)) {
+            return;
+        }
+        conn_ = &conn;
+    }
+    // Unpublishes the connection before it closes, on every exit path.
+    struct Unpublish {
+        Replicator& self;
+        ~Unpublish() {
+            std::lock_guard lock(self.stop_mutex_);
+            self.conn_ = nullptr;
+        }
+    } unpublish{*this};
 
     conn.send_all("REPL HELLO " + position_.to_string() + "\n");
     const std::string greeting = conn.read_line();
@@ -380,15 +230,15 @@ void Replicator::apply_frame(const std::string& frame,
                              const std::string& origin) {
     // The frame is a store WAL frame: validate it with the recovery
     // framing rules before trusting the payload.
-    FPM_CHECK(frame.size() >= kFrameHeaderBytes,
+    FPM_CHECK(frame.size() >= serve::kFrameHeaderBytes,
               origin + ": short replication frame");
     const auto* header =
         reinterpret_cast<const unsigned char*>(frame.data());
     const std::uint32_t length = load_u32le(header);
     const std::uint32_t expected_crc = load_u32le(header + 4);
-    FPM_CHECK(frame.size() == kFrameHeaderBytes + length,
+    FPM_CHECK(frame.size() == serve::kFrameHeaderBytes + length,
               origin + ": replication frame length mismatch");
-    const std::string payload = frame.substr(kFrameHeaderBytes);
+    const std::string payload = frame.substr(serve::kFrameHeaderBytes);
     FPM_CHECK(store::crc32(payload.data(), payload.size()) == expected_crc,
               origin + ": replication frame CRC mismatch");
 

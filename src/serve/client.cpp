@@ -1,19 +1,9 @@
 #include "fpm/serve/client.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "fpm/common/error.hpp"
@@ -39,69 +29,6 @@ struct ClientMetrics {
         return metrics;
     }
 };
-
-timeval to_timeval(double seconds) {
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(seconds);
-    tv.tv_usec =
-        static_cast<suseconds_t>((seconds - std::floor(seconds)) * 1e6);
-    return tv;
-}
-
-/// Connects with a deadline: the socket goes non-blocking, connect() is
-/// polled for writability, and SO_ERROR reports the final outcome.  A
-/// non-positive timeout falls back to a plain blocking connect().
-void connect_with_timeout(int fd, const sockaddr_in& addr, double timeout) {
-    using Kind = TransportError::Kind;
-    if (timeout <= 0.0) {
-        if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof addr) != 0) {
-            throw TransportError(
-                Kind::kConnect,
-                std::string("connect(): ") + std::strerror(errno));
-        }
-        return;
-    }
-
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    FPM_CHECK(flags >= 0, std::string("fcntl(): ") + std::strerror(errno));
-    FPM_CHECK(::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-              std::string("fcntl(): ") + std::strerror(errno));
-
-    const int rc =
-        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
-    if (rc != 0) {
-        if (errno != EINPROGRESS) {
-            throw TransportError(
-                Kind::kConnect,
-                std::string("connect(): ") + std::strerror(errno));
-        }
-        pollfd pfd{};
-        pfd.fd = fd;
-        pfd.events = POLLOUT;
-        const int timeout_ms = static_cast<int>(timeout * 1e3);
-        int ready;
-        do {
-            ready = ::poll(&pfd, 1, timeout_ms);
-        } while (ready < 0 && errno == EINTR);
-        FPM_CHECK(ready >= 0, std::string("poll(): ") + std::strerror(errno));
-        if (ready == 0) {
-            throw TransportError(Kind::kTimeout, "connect(): timed out");
-        }
-        int err = 0;
-        socklen_t len = sizeof err;
-        FPM_CHECK(::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) == 0,
-                  std::string("getsockopt(): ") + std::strerror(errno));
-        if (err != 0) {
-            throw TransportError(
-                Kind::kConnect,
-                std::string("connect(): ") + std::strerror(err));
-        }
-    }
-
-    FPM_CHECK(::fcntl(fd, F_SETFL, flags) == 0,
-              std::string("fcntl(): ") + std::strerror(errno));
-}
 
 } // namespace
 
@@ -158,7 +85,7 @@ ServeClient::ServeClient(std::vector<Endpoint> endpoints,
     open_connection();
 }
 
-ServeClient::~ServeClient() { close_fd(); }
+ServeClient::~ServeClient() = default;
 
 void ServeClient::advance_endpoint() {
     if (endpoints_.size() < 2) {
@@ -175,42 +102,9 @@ void ServeClient::open_connection() {
     // failure propagates when the whole list is down.
     for (std::size_t attempt = 0;; ++attempt) {
         try {
-            const Endpoint& target = endpoints_[active_];
-            // CLOEXEC so tools that fork (e.g. to spawn a pager) cannot
-            // leak the connection into the child.
-            fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-            FPM_CHECK(fd_ >= 0,
-                      std::string("socket(): ") + std::strerror(errno));
-            buffer_.clear();
-
-            try {
-                sockaddr_in addr{};
-                addr.sin_family = AF_INET;
-                addr.sin_port = htons(target.port);
-                FPM_CHECK(::inet_pton(AF_INET, target.host.c_str(),
-                                      &addr.sin_addr) == 1,
-                          "invalid server address: " + target.host);
-                try {
-                    connect_with_timeout(fd_, addr, config_.connect_timeout);
-                } catch (const TransportError& e) {
-                    throw TransportError(e.kind(), std::string(e.what()) +
-                                                       " [" +
-                                                       target.to_string() +
-                                                       "]");
-                }
-
-                const int one = 1;
-                ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-                if (config_.recv_timeout > 0.0) {
-                    const timeval tv = to_timeval(config_.recv_timeout);
-                    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-                    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-                }
-            } catch (...) {
-                ::close(fd_);
-                fd_ = -1;
-                throw;
-            }
+            conn_ = std::make_unique<LineConn>(endpoints_[active_],
+                                               config_.connect_timeout,
+                                               config_.recv_timeout);
             return;
         } catch (const TransportError&) {
             if (attempt + 1 >= endpoints_.size()) {
@@ -221,87 +115,16 @@ void ServeClient::open_connection() {
     }
 }
 
-void ServeClient::close_fd() noexcept {
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-    buffer_.clear();
-}
-
-void ServeClient::send_all(const std::string& framed) {
-    using Kind = TransportError::Kind;
-    std::size_t sent = 0;
-    while (sent < framed.size()) {
-        const ssize_t n = ::send(fd_, framed.data() + sent,
-                                 framed.size() - sent, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                throw TransportError(Kind::kTimeout,
-                                     "send(): timed out waiting for the server");
-            }
-            throw TransportError(Kind::kSend,
-                                 std::string("send(): ") +
-                                     std::strerror(errno));
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-}
-
-std::string ServeClient::read_line() {
-    using Kind = TransportError::Kind;
-    char chunk[4096];
-    for (;;) {
-        const auto newline = buffer_.find('\n');
-        if (newline != std::string::npos) {
-            std::string reply = buffer_.substr(0, newline);
-            buffer_.erase(0, newline + 1);
-            if (!reply.empty() && reply.back() == '\r') {
-                reply.pop_back();
-            }
-            return reply;
-        }
-        const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-        if (n < 0 && errno == EINTR) {
-            continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            throw TransportError(Kind::kTimeout,
-                                 "recv(): timed out waiting for the server");
-        }
-        if (n < 0) {
-            throw TransportError(Kind::kSend, std::string("recv(): ") +
-                                                  std::strerror(errno));
-        }
-        if (n == 0) {
-            // EOF.  An empty carry-over buffer means the server hung up
-            // cleanly between replies; leftover bytes without a newline
-            // mean the reply was torn mid-line — distinct failures with
-            // distinct codes (a retrying caller treats both as
-            // transport loss, a protocol test must tell them apart).
-            if (buffer_.empty()) {
-                throw TransportError(Kind::kPeerClosed,
-                                     "server closed the connection");
-            }
-            const std::size_t torn = buffer_.size();
-            buffer_.clear();
-            throw TransportError(
-                Kind::kTruncated,
-                "server closed the connection mid-reply (" +
-                    std::to_string(torn) + " bytes without a newline)");
-        }
-        buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
+LineConn& ServeClient::connected() {
+    FPM_CHECK(conn_ != nullptr, "client is not connected");
+    return *conn_;
 }
 
 std::string ServeClient::request(const std::string& line) {
-    FPM_CHECK(fd_ >= 0, "client is not connected");
+    LineConn& conn = connected();
     const auto start = std::chrono::steady_clock::now();
-    send_all(line + "\n");
-    std::string reply = read_line();
+    conn.send_all(line + "\n");
+    std::string reply = conn.read_line();
     last_rtt_seconds_ = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
@@ -309,21 +132,21 @@ std::string ServeClient::request(const std::string& line) {
 }
 
 void ServeClient::send_lines(const std::vector<std::string>& lines) {
-    FPM_CHECK(fd_ >= 0, "client is not connected");
+    LineConn& conn = connected();
     std::string framed;
     for (const std::string& line : lines) {
         framed += line;
         framed += '\n';
     }
-    send_all(framed);
+    conn.send_all(framed);
 }
 
 std::vector<std::string> ServeClient::read_replies(std::size_t count) {
-    FPM_CHECK(fd_ >= 0, "client is not connected");
+    LineConn& conn = connected();
     std::vector<std::string> replies;
     replies.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-        replies.push_back(read_line());
+        replies.push_back(conn.read_line());
     }
     return replies;
 }
@@ -360,7 +183,7 @@ Response ServeClient::call(const Request& req) {
     int attempt = 0;
     for (;;) {
         try {
-            if (fd_ < 0) {
+            if (conn_ == nullptr) {
                 ClientMetrics::get().reconnects.add();
                 open_connection();
             }
@@ -370,7 +193,7 @@ Response ServeClient::call(const Request& req) {
                 attempt < config_.max_retries) {
                 // Admission rejection: the server also closed the
                 // connection, so start fresh after the backoff.
-                close_fd();
+                conn_.reset();
                 ++attempt;
                 ClientMetrics::get().retries.add();
                 backoff(attempt);
@@ -383,7 +206,7 @@ Response ServeClient::call(const Request& req) {
             // With a failover list, the next attempt starts against the
             // next endpoint — the active one just proved unreachable or
             // unresponsive.
-            close_fd();
+            conn_.reset();
             if (attempt >= config_.max_retries) {
                 throw;
             }
@@ -415,18 +238,6 @@ FeedbackReply ServeClient::report_feedback(const FeedbackSample& sample) {
     wire.feedback = sample;
     const Response response = call(wire);
     if (response.kind == Response::Kind::kError) {
-        // A pre-v4 server does not know the verb; decode() classified
-        // its free-text `ERR unknown command: ...` as kUnsupportedVerb,
-        // so one typed check covers old and new servers alike and
-        // callers can tell "talk to a newer server" apart from "the
-        // sample was rejected".
-        if (response.error_code == ErrorCode::kUnsupportedVerb) {
-            throw ServiceError(
-                ErrorCode::kUnsupportedVerb,
-                "unsupported verb: FEEDBACK requires protocol v" +
-                    std::to_string(kProtocolVersion) +
-                    " (server answered \"ERR " + response.error + "\")");
-        }
         throw ServiceError(response.error_code,
                            "server error: " + response.error);
     }

@@ -29,17 +29,4 @@ std::optional<ErrorCode> parse_error_token(std::string_view token) noexcept {
     return std::nullopt;
 }
 
-ErrorCode classify_legacy_error(std::string_view message) noexcept {
-    if (message == "busy") {
-        return ErrorCode::kBusy;
-    }
-    if (message.rfind("unknown command", 0) == 0) {
-        return ErrorCode::kUnsupportedVerb;
-    }
-    if (message.rfind("feedback not enabled", 0) == 0) {
-        return ErrorCode::kFeedbackDisabled;
-    }
-    return ErrorCode::kInternal;
-}
-
 } // namespace fpm::serve

@@ -15,8 +15,9 @@
 /// server that accepts but never replies produces a clear "timed out"
 /// fpm::Error instead of hanging the caller forever.
 ///
-/// Transport failures are typed (TransportError), distinguishing a
-/// clean peer close from a reply truncated mid-line.  When
+/// The socket itself is a LineConn (transport.hpp), so failures are
+/// typed TransportErrors — a clean peer close, a reply truncated
+/// mid-line, a reset, a reply longer than kMaxRequestLine.  When
 /// ServeConfig::max_retries > 0, call() (and the typed helpers built on
 /// it) retries transport failures and `ERR busy` rejections with
 /// exponential backoff + deterministic jitter, reconnecting and
@@ -27,48 +28,15 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "fpm/serve/protocol.hpp"
 #include "fpm/serve/serve_config.hpp"
+#include "fpm/serve/transport.hpp"
 
 namespace fpm::serve {
-
-/// A client-side transport failure, typed by what actually happened on
-/// the socket.  Derives fpm::Error, so callers that only care that the
-/// round trip failed keep working unchanged.
-class TransportError : public Error {
-public:
-    enum class Kind {
-        kConnect,     ///< could not establish the connection
-        kTimeout,     ///< connect/send/recv deadline expired
-        kPeerClosed,  ///< clean EOF between replies (no partial data)
-        kTruncated,   ///< EOF mid-reply: bytes arrived but no newline
-        kSend,        ///< hard send failure (EPIPE, ECONNRESET, ...)
-    };
-
-    TransportError(Kind kind, const std::string& message)
-        : Error(message), kind_(kind) {}
-
-    [[nodiscard]] Kind kind() const noexcept { return kind_; }
-
-private:
-    Kind kind_;
-};
-
-/// One server address of an ordered failover list.
-struct Endpoint {
-    std::string host;
-    std::uint16_t port = 0;
-
-    [[nodiscard]] std::string to_string() const {
-        return host + ":" + std::to_string(port);
-    }
-    friend bool operator==(const Endpoint& a, const Endpoint& b) {
-        return a.host == b.host && a.port == b.port;
-    }
-};
 
 /// Parses a comma-separated endpoint list: each entry is `host:port` or
 /// a bare `port` (which gets `default_host`).  Throws fpm::Error on an
@@ -141,10 +109,8 @@ public:
 
     /// FEEDBACK round trip: reports one served-execution measurement and
     /// returns what the server's adaptation layer did with it.  Throws
-    /// ServiceError when the server answers ERR; a pre-v5 server that
-    /// does not know the verb (free-text `ERR unknown command`) is
-    /// classified and surfaced as ErrorCode::kUnsupportedVerb, never as
-    /// a transport/truncation failure.
+    /// ServiceError (carrying the server's ErrorCode) when the server
+    /// answers ERR.
     FeedbackReply report_feedback(const FeedbackSample& sample);
 
     /// PING round trip; throws fpm::Error unless the server answers a
@@ -180,18 +146,15 @@ public:
 
 private:
     void open_connection();
-    void close_fd() noexcept;
     void advance_endpoint();
-    void send_all(const std::string& framed);
-    std::string read_line();
+    LineConn& connected();
 
-    int fd_ = -1;
+    std::unique_ptr<LineConn> conn_;  ///< null while disconnected
     double last_rtt_seconds_ = 0.0;
     std::vector<Endpoint> endpoints_;
     std::size_t active_ = 0;
     std::uint64_t failovers_ = 0;
     ServeConfig config_;
-    std::string buffer_;  // carry-over bytes between reads
 };
 
 } // namespace fpm::serve

@@ -1,21 +1,16 @@
 /// \file error.hpp
 /// \brief Typed error codes of the partition-service protocol.
 ///
-/// Until v5 every failure travelled as free text (`ERR <message>`) and
-/// callers that needed to react to a *specific* failure — the client's
-/// retry loop matching "busy", report_feedback() sniffing "unknown
-/// command" — had to string-match.  v5 gives every error a stable
-/// machine-readable token that leads the ERR line:
+/// Every error carries a stable machine-readable token that leads the
+/// ERR line, so callers react to a *specific* failure (the client's
+/// retry loop on `busy`, say) without string-matching:
 ///
 ///     ERR <token> [<message>]
 ///
 /// The tokens are a closed, append-only set (`error_token()` /
 /// `parse_error_token()` below); the human-readable message after the
-/// token stays free-form and may change between releases.  Decoders keep
-/// accepting pre-v5 free-text ERR lines and map the well-known legacy
-/// texts onto the same codes, so a v5 client talking to an old server
-/// still gets typed errors (ErrorCode::kInternal when the text is
-/// unrecognised).
+/// token stays free-form and may change between releases.  A line whose
+/// first token is not a known code decodes as ErrorCode::kInternal.
 ///
 /// ServiceError is the exception that carries a code through the stack:
 /// the engine, the registry, the store and the protocol dispatcher all
@@ -49,15 +44,9 @@ enum class ErrorCode {
 [[nodiscard]] std::string_view error_token(ErrorCode code) noexcept;
 
 /// Maps a wire token back to its code; nullopt for unknown tokens (a
-/// newer server, or a pre-v5 free-text message).
+/// newer server's code, or not a token at all).
 [[nodiscard]] std::optional<ErrorCode>
 parse_error_token(std::string_view token) noexcept;
-
-/// Classifies a pre-v5 free-text ERR message onto the code a v5 server
-/// would have used: "busy" -> kBusy, "unknown command..." ->
-/// kUnsupportedVerb, "feedback not enabled..." -> kFeedbackDisabled,
-/// anything else -> kInternal.
-[[nodiscard]] ErrorCode classify_legacy_error(std::string_view message) noexcept;
 
 /// An fpm::Error that knows its protocol error class.  Thrown by the
 /// serve/adapt/store layers where the class is known; handle_request()

@@ -16,14 +16,12 @@
 ///     HEALTH                                  -> OK HEALTH ...
 ///     QUIT                                    -> OK BYE
 ///
-/// Failures are `ERR <code> [<message>]` since v5: the first token is a
-/// stable machine-readable ErrorCode token (see error.hpp) and the rest
-/// is the human diagnosis.  Pre-v5 servers sent free-text `ERR
-/// <message>`; decode() recognises both, classifying legacy text onto
-/// the nearest code, so a v5 client still types errors from an old
-/// server.  Doubles travel as shortest-exact decimal (%.17g), so a
-/// partition reply decoded by the client compares bit-for-bit with the
-/// direct library call.  kProtocolVersion is the single revision
+/// Failures are `ERR <code> [<message>]`: the first token is a stable
+/// machine-readable ErrorCode token (see error.hpp) and the rest is the
+/// human diagnosis.  Doubles travel as 17 significant digits (%.17g):
+/// not the shortest form, but enough that every double round-trips
+/// bit-for-bit, so a partition reply decoded by the client compares
+/// equal to the direct library call.  kProtocolVersion is the single revision
 /// constant: PING carries it, ServeClient::ping() enforces it, and
 /// nothing else restates it.
 ///
@@ -58,9 +56,7 @@ namespace fpm::serve {
 /// gauges, queue-to-reply quantiles), the HEALTH request and the
 /// PARTITION `degraded=` flag.  Clients must refuse to talk to a
 /// server announcing a different revision (ServeClient::ping enforces
-/// this); a v6 client sending FEEDBACK to a v3 server receives the v3
-/// `ERR unknown command` reply, which ServeClient::report_feedback
-/// surfaces as a typed unsupported-verb ServiceError.
+/// this).
 inline constexpr int kProtocolVersion = 6;
 
 /// A request message.  decode() parses a wire line (throws fpm::Error
@@ -148,9 +144,6 @@ struct ServerHealth {
     [[nodiscard]] static ServerHealth
     from_fields(const std::vector<StatField>& fields);
 };
-
-/// Pre-v5 name of ServerHealth, kept for source compatibility.
-using HealthReply = ServerHealth;
 
 /// One registry entry in an `OK MODELS` response.
 struct ModelSetInfo {
@@ -255,9 +248,8 @@ struct Response {
 
     Kind kind = Kind::kError;
     std::string error;                 ///< kError: human-readable message
-    /// kError: the stable machine-readable classification.  Set by both
-    /// make_error overloads and by decode() (which classifies pre-v5
-    /// free-text errors via classify_legacy_error).
+    /// kError: the stable machine-readable classification (kInternal
+    /// when a decoded line does not lead with a known token).
     ErrorCode error_code = ErrorCode::kInternal;
     int version = kProtocolVersion;    ///< kPong
     LoadedReply loaded;                ///< kLoaded
@@ -274,10 +266,6 @@ struct Response {
     /// token alone (`ERR busy`), which is also how it decodes.
     [[nodiscard]] static Response make_error(ErrorCode code,
                                              const std::string& message = {});
-
-    /// Legacy entry point: classifies the free-text message onto the
-    /// nearest ErrorCode (classify_legacy_error) and keeps the text.
-    [[nodiscard]] static Response make_error(const std::string& message);
 };
 
 /// Builds the typed partition payload for a served response.

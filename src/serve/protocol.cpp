@@ -52,7 +52,8 @@ double parse_double(const std::string& text, const char* what) {
     return value;
 }
 
-/// Shortest-exact decimal form of a double (round-trips bit-for-bit).
+/// A double as 17 significant digits: not the shortest form, but every
+/// value round-trips bit-for-bit.
 std::string format_double(double value) {
     char buffer[64];
     std::snprintf(buffer, sizeof buffer, "%.17g", value);
@@ -223,16 +224,11 @@ Response Response::make_error(ErrorCode code, const std::string& message) {
     return response;
 }
 
-Response Response::make_error(const std::string& message) {
-    return make_error(classify_legacy_error(message), message);
-}
-
 std::string Response::encode() const {
     switch (kind) {
     case Kind::kError: {
         // `ERR <code>` when the message is just the token (or empty),
-        // `ERR <code> <message>` otherwise — so `ERR busy` stays the
-        // exact bytes pre-v5 peers expect.
+        // `ERR <code> <message>` otherwise.
         const std::string_view token = error_token(error_code);
         if (error.empty() || error == token) {
             return "ERR " + std::string(token);
@@ -345,19 +341,16 @@ Response Response::decode(const std::string& line) {
         response.kind = Kind::kError;
         const std::string body =
             line.size() > 4 ? line.substr(4) : std::string{};
-        // v5 grammar: first token is an ErrorCode token.  Anything else
-        // is a pre-v5 free-text error, classified onto the nearest code
-        // with the full text kept as the message.
+        // The first token is an ErrorCode token.  Anything else decodes
+        // as kInternal with the whole body kept as the message.
         const auto space = body.find(' ');
         const std::string head = body.substr(0, space);
+        response.error = body;
         if (const auto code = parse_error_token(head)) {
             response.error_code = *code;
-            response.error = space == std::string::npos
-                                 ? head  // token alone; never empty
-                                 : body.substr(space + 1);
-        } else {
-            response.error_code = classify_legacy_error(body);
-            response.error = body;
+            if (space != std::string::npos) {
+                response.error = body.substr(space + 1);
+            }  // else the token alone; never empty
         }
         return response;
     }

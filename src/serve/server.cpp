@@ -1,6 +1,5 @@
 #include "fpm/serve/server.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -21,6 +20,7 @@
 #include "fpm/common/error.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/serve/reactor_metrics.hpp"
+#include "fpm/serve/transport.hpp"
 
 namespace fpm::serve {
 
@@ -32,10 +32,6 @@ using Clock = std::chrono::steady_clock;
 constexpr std::uint64_t kListenTag = 0;
 constexpr std::uint64_t kEventTag = 1;
 constexpr std::uint64_t kFirstConnId = 2;
-
-/// A request line longer than this (no newline yet) is a hostile or
-/// broken client; the connection is answered `ERR ...` and closed.
-constexpr std::size_t kMaxRequestLine = 1 << 20;
 
 std::uint64_t now_ms() {
     return static_cast<std::uint64_t>(
@@ -750,52 +746,21 @@ void SocketServer::start() {
 
     try {
         for (std::size_t i = 0; i < pool; ++i) {
-            const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-            FPM_CHECK(fd >= 0,
-                      std::string("socket(): ") + std::strerror(errno));
+            // Every listener of the pool binds the same port (the kernel
+            // hashes incoming connections across them).  A single
+            // reactor skips SO_REUSEPORT so the default config
+            // reproduces prior releases exactly.  port_ is config_.port
+            // for the first listener (possibly 0 = ephemeral) and the
+            // concrete bound port after it.
+            const Listener listener = listen_tcp(
+                config_.bind_address, port_, config_.backlog, pool > 1);
+            const int fd = listener.fd;
+            port_ = listener.port;
 
             int epoll_fd = -1;
             int event_fd = -1;
             try {
-                const int one = 1;
-                ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-                if (pool > 1) {
-                    // Every listener of the pool binds the same port;
-                    // the kernel hashes incoming connections across
-                    // them.  A single reactor skips the option so the
-                    // default config reproduces prior releases exactly.
-                    FPM_CHECK(::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT,
-                                           &one, sizeof one) == 0,
-                              std::string("setsockopt(SO_REUSEPORT): ") +
-                                  std::strerror(errno));
-                }
-
-                sockaddr_in addr{};
-                addr.sin_family = AF_INET;
-                // port_ is config_.port for the first listener (possibly
-                // 0 = ephemeral) and the concrete bound port after it.
-                addr.sin_port = htons(port_);
-                FPM_CHECK(::inet_pton(AF_INET, config_.bind_address.c_str(),
-                                      &addr.sin_addr) == 1,
-                          "invalid bind address: " + config_.bind_address);
-                FPM_CHECK(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
-                                 sizeof addr) == 0,
-                          "bind(" + config_.bind_address + ":" +
-                              std::to_string(port_) +
-                              "): " + std::strerror(errno));
-                FPM_CHECK(::listen(fd, config_.backlog) == 0,
-                          std::string("listen(): ") + std::strerror(errno));
                 set_nonblocking(fd);
-
-                sockaddr_in bound{};
-                socklen_t bound_len = sizeof bound;
-                FPM_CHECK(::getsockname(fd,
-                                        reinterpret_cast<sockaddr*>(&bound),
-                                        &bound_len) == 0,
-                          std::string("getsockname(): ") +
-                              std::strerror(errno));
-                port_ = ntohs(bound.sin_port);
-
                 epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
                 FPM_CHECK(epoll_fd >= 0,
                           std::string("epoll_create1(): ") +

@@ -124,7 +124,7 @@ struct StoreStats {
 /// record of every live set plus the WAL position a stream resuming
 /// after this snapshot starts from.
 struct ReplSnapshot {
-    std::vector<std::string> payloads;     ///< encoded publish records
+    std::vector<std::string> payloads;     ///< publish records, by generation
     std::uint64_t next_generation = 1;     ///< registry counter to resume at
     std::uint64_t segment = 0;             ///< active WAL segment id
     std::uint64_t offset = 0;              ///< committed bytes in that segment

@@ -537,9 +537,20 @@ std::uint64_t ModelStore::committed_generation() const {
 
 ReplSnapshot ModelStore::replication_snapshot() const {
     std::lock_guard lock(mutex_);
+    // Generation order, not name order: a replica applies records in
+    // arrival order and drops any at or below its highest applied
+    // generation, so a newer set arriving first would hide older ones.
+    std::vector<const serve::ModelSet*> sets;
+    sets.reserve(mirror_.size());
+    for (const auto& entry : mirror_) {
+        sets.push_back(entry.second.get());
+    }
+    std::sort(sets.begin(), sets.end(), [](const auto* a, const auto* b) {
+        return a->generation < b->generation;
+    });
     ReplSnapshot snap;
-    snap.payloads.reserve(mirror_.size());
-    for (const auto& [name, set] : mirror_) {
+    snap.payloads.reserve(sets.size());
+    for (const serve::ModelSet* set : sets) {
         snap.payloads.push_back(encode_publish_record(*set));
     }
     snap.next_generation = next_generation_;

@@ -11,15 +11,16 @@
 #include "fpm/common/error.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/serve/error.hpp"
+#include "fpm/serve/transport.hpp"
 
 namespace fpm::store {
 
 namespace {
 
-/// Frames larger than this are treated as corruption during replay (a
-/// real record is a few KiB of model CSV; 1 GiB means a garbage header).
-constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
-constexpr std::size_t kHeaderBytes = 8;
+// Frame geometry (header size, payload cap) is shared with the
+// replication stream: serve::kFrameHeaderBytes / serve::kMaxFrameBytes.
+using serve::kFrameHeaderBytes;
+using serve::kMaxFrameBytes;
 
 std::array<std::uint32_t, 256> make_crc_table() {
     std::array<std::uint32_t, 256> table{};
@@ -77,7 +78,7 @@ std::uint32_t crc32(const void* data, std::size_t size) noexcept {
 
 std::string encode_frame(std::string_view payload) {
     std::string frame;
-    frame.reserve(kHeaderBytes + payload.size());
+    frame.reserve(kFrameHeaderBytes + payload.size());
     put_u32_le(frame, static_cast<std::uint32_t>(payload.size()));
     put_u32_le(frame, crc32(payload.data(), payload.size()));
     frame.append(payload.data(), payload.size());
@@ -110,19 +111,19 @@ ReplayResult replay_wal(const std::string& path, bool repair) {
         std::size_t offset = 0;
         const auto* bytes =
             reinterpret_cast<const unsigned char*>(contents.data());
-        while (contents.size() - offset >= kHeaderBytes) {
+        while (contents.size() - offset >= kFrameHeaderBytes) {
             const std::uint32_t length = get_u32_le(bytes + offset);
             const std::uint32_t expected_crc = get_u32_le(bytes + offset + 4);
             if (length > kMaxFrameBytes ||
-                contents.size() - offset - kHeaderBytes < length) {
+                contents.size() - offset - kFrameHeaderBytes < length) {
                 break;  // torn or garbage header: tail starts here
             }
-            const char* payload = contents.data() + offset + kHeaderBytes;
+            const char* payload = contents.data() + offset + kFrameHeaderBytes;
             if (crc32(payload, length) != expected_crc) {
                 break;  // corrupt record: everything from here is suspect
             }
             result.payloads.emplace_back(payload, length);
-            offset += kHeaderBytes + length;
+            offset += kFrameHeaderBytes + length;
         }
         result.truncated_bytes = contents.size() - offset;
         if (result.truncated_bytes > 0 && repair) {

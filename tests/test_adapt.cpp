@@ -4,15 +4,10 @@
 // a device slowing 2x mid-stream, detected from served-execution
 // feedback alone, hot-republished, and the next served plan rebalancing
 // to within tolerance of the oracle partition, bit-for-bit reproducible
-// from a fixed seed.  Also covers the v4 FEEDBACK wire path, the clean
-// typed error against a pre-v4 server, republish cache invalidation and
-// chaos (adapt fault points armed: no hangs, no torn replies).
+// from a fixed seed.  Also covers the v4 FEEDBACK wire path, republish
+// cache invalidation and chaos (adapt fault points armed: no hangs, no
+// torn replies).
 #include <gtest/gtest.h>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -524,83 +519,6 @@ TEST(AdaptWire, FeedbackWithoutAdapterIsACleanTypedError) {
                   0u);
     }
     EXPECT_FALSE(engine.feedback_enabled());
-}
-
-// ---------------------------------------------------------------------------
-// Pre-v4 server: clean typed unsupported-verb error, not a truncation
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Minimal scripted server: accepts one connection, waits for any bytes,
-/// writes `reply` verbatim and closes.
-class ScriptedServer {
-public:
-    explicit ScriptedServer(std::string reply) : reply_(std::move(reply)) {
-        listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                         sizeof addr),
-                  0);
-        EXPECT_EQ(::listen(listen_fd_, 1), 0);
-        socklen_t len = sizeof addr;
-        EXPECT_EQ(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                                &len),
-                  0);
-        port_ = ntohs(addr.sin_port);
-        thread_ = std::thread([this]() {
-            const int fd = ::accept(listen_fd_, nullptr, nullptr);
-            if (fd < 0) {
-                return;
-            }
-            char buffer[256];
-            (void)::recv(fd, buffer, sizeof buffer, 0);
-            if (!reply_.empty()) {
-                (void)::send(fd, reply_.data(), reply_.size(), MSG_NOSIGNAL);
-            }
-            ::close(fd);
-        });
-    }
-
-    ~ScriptedServer() {
-        thread_.join();
-        ::close(listen_fd_);
-    }
-
-    [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
-
-private:
-    std::string reply_;
-    int listen_fd_ = -1;
-    std::uint16_t port_ = 0;
-    std::thread thread_;
-};
-
-} // namespace
-
-TEST(AdaptWire, PreV4ServerAnswersTypedUnsupportedVerbError) {
-    // A v3 server does not know FEEDBACK and answers its normal
-    // unknown-command ERR line — a complete, well-framed reply.  The
-    // client must surface that as a typed unsupported-verb error, never
-    // as a transport/truncation failure.
-    ScriptedServer v3("ERR unknown command: FEEDBACK\n");
-    ServeClient client("127.0.0.1", v3.port());
-    try {
-        (void)client.report_feedback({"hybrid", 0, 1000.0, 2.0});
-        FAIL() << "expected an unsupported-verb error";
-    } catch (const serve::TransportError& e) {
-        FAIL() << "transport error leaked through: " << e.what();
-    } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("unsupported verb"),
-                  std::string::npos)
-            << e.what();
-        EXPECT_NE(std::string(e.what()).find(
-                      "v" + std::to_string(serve::kProtocolVersion)),
-                  std::string::npos)
-            << e.what();
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ TEST(DocsConsistency, OperationsRunbookCoversTheDurableStore) {
     for (const char* token :
          {"--store", "--store-fsync", "--store-snapshot-every",
           "fpm::store", "wal-", "snapshot-", "fpmmodel v2",
-          "store_unavailable", "kill -9", "ci/crash_recovery.sh",
+          "store_unavailable", "kill -9", "ci/sanitize.sh asan store",
           "recovered generation"}) {
         EXPECT_NE(runbook.find(token), std::string::npos)
             << "'" << token << "' is not documented in docs/operations.md";
@@ -261,7 +261,7 @@ TEST(DocsConsistency, ReplicationGuideCoversTheSubsystem) {
           "repl_lag_frames", "repl_lag_seconds", "repl_source",
           "repl_applied_generation", "role=replica", "failover",
           "promotion", "repl.handshake", "repl.send", "repl.apply",
-          "ci/repl_drill.sh", "heartbeat", "ReplicationLog",
+          "ci/sanitize.sh asan repl", "heartbeat", "ReplicationLog",
           "Replicator", "thread-per-follower"}) {
         EXPECT_NE(guide.find(token), std::string::npos)
             << "'" << token << "' is not documented in docs/replication.md";
@@ -271,7 +271,7 @@ TEST(DocsConsistency, ReplicationGuideCoversTheSubsystem) {
     const std::string runbook = read_file("docs/operations.md");
     for (const char* token :
          {"docs/replication.md", "--replica-of", "--repl-listen",
-          "ci/repl_drill.sh"}) {
+          "ci/sanitize.sh asan repl"}) {
         EXPECT_NE(runbook.find(token), std::string::npos)
             << "'" << token << "' is not documented in docs/operations.md";
     }

@@ -8,12 +8,14 @@
 // and across the 4-reactor SO_REUSEPORT pool with a sharded plan cache.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -29,6 +31,7 @@
 #include "fpm/serve/protocol.hpp"
 #include "fpm/serve/request_engine.hpp"
 #include "fpm/serve/server.hpp"
+#include "fpm/serve/transport.hpp"
 #include "stress_harness.hpp"
 
 namespace fpm::serve {
@@ -325,7 +328,7 @@ TEST(FaultHealth, ReportsReadinessAndCounters) {
     SocketServer server(engine);
     server.start();
     ServeClient client("127.0.0.1", server.port());
-    const HealthReply health = client.health();
+    const ServerHealth health = client.health();
     EXPECT_TRUE(health.live);
     EXPECT_TRUE(health.ready);
     EXPECT_EQ(health.models, 1u);
@@ -338,33 +341,48 @@ TEST(FaultHealth, ReportsReadinessAndCounters) {
 
 namespace {
 
+/// How a ScriptedServer answers.
+struct Script {
+    std::string reply;      ///< bytes written verbatim
+    std::size_t chunk = 0;  ///< > 0: one send() per `chunk` bytes, paced
+    bool reset = false;     ///< end with an RST (SO_LINGER 0), not a FIN
+};
+
 /// Minimal scripted server: accepts one connection, waits for any bytes,
-/// writes `reply` verbatim and closes.
+/// writes the scripted reply and closes.
 class ScriptedServer {
 public:
-    explicit ScriptedServer(std::string reply) : reply_(std::move(reply)) {
-        listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                         sizeof addr),
-                  0);
-        EXPECT_EQ(::listen(listen_fd_, 1), 0);
-        socklen_t len = sizeof addr;
-        EXPECT_EQ(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                                &len),
-                  0);
-        port_ = ntohs(addr.sin_port);
+    explicit ScriptedServer(std::string reply)
+        : ScriptedServer(Script{std::move(reply)}) {}
+
+    explicit ScriptedServer(Script script)
+        : script_(std::move(script)),
+          listener_(listen_tcp("127.0.0.1", 0, 1, false)) {
         thread_ = std::thread([this]() {
-            const int fd = ::accept(listen_fd_, nullptr, nullptr);
+            const int fd = ::accept(listener_.fd, nullptr, nullptr);
             if (fd < 0) {
                 return;
             }
+            const int one = 1;
+            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
             char buffer[256];
             (void)::recv(fd, buffer, sizeof buffer, 0);
-            if (!reply_.empty()) {
-                (void)::send(fd, reply_.data(), reply_.size(), MSG_NOSIGNAL);
+            const std::string& reply = script_.reply;
+            const std::size_t step =
+                script_.chunk > 0 ? script_.chunk : reply.size();
+            for (std::size_t at = 0; at < reply.size(); at += step) {
+                if (at > 0) {
+                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                }
+                if (::send(fd, reply.data() + at,
+                           std::min(step, reply.size() - at),
+                           MSG_NOSIGNAL) < 0) {
+                    break;  // the client gave up reading
+                }
+            }
+            if (script_.reset) {
+                const linger abort{1, 0};
+                ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abort, sizeof abort);
             }
             ::close(fd);
         });
@@ -372,15 +390,14 @@ public:
 
     ~ScriptedServer() {
         thread_.join();
-        ::close(listen_fd_);
+        ::close(listener_.fd);
     }
 
-    [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+    [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port; }
 
 private:
-    std::string reply_;
-    int listen_fd_ = -1;
-    std::uint16_t port_ = 0;
+    Script script_;
+    Listener listener_;
     std::thread thread_;
 };
 
@@ -408,6 +425,37 @@ TEST(FaultClient, CleanCloseAndTruncationAreDistinctErrors) {
             EXPECT_NE(std::string(e.what()).find("mid-reply"),
                       std::string::npos);
         }
+    }
+}
+
+TEST(FaultClient, OverlongReplyIsATypedErrorNotUnboundedGrowth) {
+    // 4 MiB without a newline: the client must give up at the line
+    // bound instead of buffering whatever the server sends.
+    ScriptedServer flood(std::string(4 * kMaxRequestLine, 'x'));
+    ServeClient client("127.0.0.1", flood.port());
+    try {
+        (void)client.request("PING");
+        FAIL() << "expected TransportError";
+    } catch (const TransportError& e) {
+        EXPECT_EQ(e.kind(), TransportError::Kind::kTooLong) << e.what();
+    }
+}
+
+TEST(FaultClient, ReplyTrickledOneBytePerSendReassembles) {
+    ScriptedServer trickle(Script{"OK PONG v6\r\nOK BYE\n", 1});
+    ServeClient client("127.0.0.1", trickle.port());
+    const std::vector<std::string> replies = client.pipeline({"PING", "QUIT"});
+    EXPECT_EQ(replies, (std::vector<std::string>{"OK PONG v6", "OK BYE"}));
+}
+
+TEST(FaultClient, PeerResetIsARecvErrorNotASendError) {
+    ScriptedServer reset(Script{"", 0, true});
+    ServeClient client("127.0.0.1", reset.port());
+    try {
+        (void)client.request("PING");
+        FAIL() << "expected TransportError";
+    } catch (const TransportError& e) {
+        EXPECT_EQ(e.kind(), TransportError::Kind::kRecv) << e.what();
     }
 }
 

@@ -177,7 +177,8 @@ TEST(ProtocolRequest, FeedbackDoublesRoundTripBitForBit) {
 // ---------------------------------------------------------------------------
 
 TEST(ProtocolResponse, ErrorRoundTrips) {
-    const Response error = Response::make_error("it\nbroke\rbadly");
+    const Response error =
+        Response::make_error(ErrorCode::kInternal, "it\nbroke\rbadly");
     const std::string line = error.encode();
     EXPECT_EQ(line.find('\n'), std::string::npos);
     const Response decoded = Response::decode(line);
@@ -328,6 +329,20 @@ TEST(ProtocolResponse, PreV4ErrorLinesDecodeAsTypedErrors) {
         Response::decode("ERR unknown command: FEEDBACK");
     EXPECT_EQ(response.kind, Response::Kind::kError);
     EXPECT_EQ(response.error, "unknown command: FEEDBACK");
+}
+
+TEST(ProtocolResponse, UnknownErrTokenDecodesAsInternalWithTheWholeBody) {
+    // Free text, a future code and bare `ERR`: all decode to kInternal,
+    // keep the whole body as the message, and never throw.
+    for (const char* body : {"unknown command: FEEDBACK", "busy_later now",
+                             "feedback not enabled", ""}) {
+        const std::string line = std::string("ERR ") + body;
+        Response response;
+        ASSERT_NO_THROW(response = Response::decode(line)) << line;
+        EXPECT_EQ(response.kind, Response::Kind::kError) << line;
+        EXPECT_EQ(response.error_code, ErrorCode::kInternal) << line;
+        EXPECT_EQ(response.error, body) << line;
+    }
 }
 
 TEST(ProtocolFuzz, EveryPrefixOfValidEncodingsIsHandled) {

@@ -10,7 +10,9 @@
 // completes with zero torn replies.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -37,6 +39,7 @@
 #include "fpm/serve/repl_status.hpp"
 #include "fpm/serve/request_engine.hpp"
 #include "fpm/serve/server.hpp"
+#include "fpm/serve/transport.hpp"
 #include "fpm/store/model_store.hpp"
 
 namespace fpm::repl {
@@ -480,11 +483,15 @@ TEST(ReplEndToEnd, FreshReplicaBehindGcGetsASnapshotTransfer) {
     TempDir replica_dir;
     // snapshot_every=2: by generation 4 the early segments are GC'd, so
     // a fresh replica (HELLO 0:0) cannot stream from the beginning.
+    // "alpha" ends at generation 3 and "aardvark", which sorts before
+    // it by name, holds generation 4: a snapshot shipped in name order
+    // would make the replica drop alpha as already applied.
     Primary primary(primary_dir.path, 2);
-    for (int g = 1; g <= 4; ++g) {
+    for (int g = 1; g <= 3; ++g) {
         primary.registry.put("alpha",
                              synthetic_models(3, 32, static_cast<double>(g)));
     }
+    primary.registry.put("aardvark", synthetic_models(2, 32, 4.0));
     ASSERT_FALSE(fs::exists(primary.store.segment_path(1)));
 
     Replica replica(replica_dir.path, primary.server->port());
@@ -492,14 +499,98 @@ TEST(ReplEndToEnd, FreshReplicaBehindGcGetsASnapshotTransfer) {
         [&] { return replica.replicator->applied_generation() >= 4; }));
     EXPECT_GE(replica.replicator->snapshots_received(), 1u);
     EXPECT_GE(primary.server->snapshots_sent(), 1u);
-    EXPECT_EQ(replica.registry.get("alpha")->fingerprint,
-              primary.registry.get("alpha")->fingerprint);
+    const auto sets = primary.registry.snapshot();
+    ASSERT_EQ(sets.size(), 2u);
+    for (const auto& set : sets) {
+        const auto copy = replica.registry.find(set->name);
+        ASSERT_NE(copy, nullptr) << set->name << " missing on the replica";
+        EXPECT_EQ(copy->generation, set->generation) << set->name;
+        EXPECT_EQ(copy->fingerprint, set->fingerprint) << set->name;
+    }
 
     // The stream keeps tailing after the snapshot hand-off.
     primary.registry.put("alpha", synthetic_models(3, 32, 9.0));
     ASSERT_TRUE(wait_until(
         [&] { return replica.replicator->applied_generation() >= 5; }));
     EXPECT_EQ(replica.registry.get("alpha")->generation, 5u);
+}
+
+TEST(ReplTransport, FrameAboveTheWalCapReconnectsBeforeReadingIt) {
+    // A fake primary announces one frame larger than the WAL can hold
+    // and then sends nothing.  The replicator must reject the header
+    // and reconnect at once — not buffer towards the announced size or
+    // wait out its 30 s receive deadline.
+    ReplStatusGuard status_guard;
+    const serve::Listener listener = serve::listen_tcp("127.0.0.1", 0, 4, false);
+    std::atomic<int> hellos{0};
+    std::thread fake_primary([&] {
+        for (int i = 0; i < 2; ++i) {
+            pollfd pfd{listener.fd, POLLIN, 0};
+            if (::poll(&pfd, 1, 10000) <= 0) {
+                return;
+            }
+            serve::LineConn conn(::accept(listener.fd, nullptr, nullptr), 0.0);
+            try {
+                if (conn.read_line().rfind("REPL HELLO ", 0) != 0) {
+                    return;
+                }
+                hellos.fetch_add(1);
+                if (i == 0) {
+                    conn.send_all(
+                        "OK REPL STREAM pos=1:0\nREPL FRAME bytes=" +
+                        std::to_string(serve::kFrameHeaderBytes +
+                                       serve::kMaxFrameBytes + 1) +
+                        " pos=1:64\n");
+                    (void)conn.read_line();  // until the replica hangs up
+                }
+            } catch (const serve::TransportError&) {
+            }
+        }
+    });
+
+    ModelRegistry registry;
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
+    ReplicatorConfig config;
+    config.source = Endpoint{"127.0.0.1", listener.port};
+    config.transport.connect_timeout = 2.0;
+    config.transport.recv_timeout = 30.0;
+    config.transport.backoff_base = 0.01;
+    config.transport.backoff_max = 0.05;
+    Replicator replicator(engine, nullptr, config);
+    replicator.start();
+    EXPECT_TRUE(wait_until([&] { return hellos.load() >= 2; }, 10.0));
+    EXPECT_GE(replicator.reconnects(), 1u);
+    EXPECT_EQ(replicator.frames_applied(), 0u);
+    replicator.stop();
+    fake_primary.join();
+    ::close(listener.fd);
+}
+
+TEST(ReplTransport, OverlongHelloEndsOnlyThatSession) {
+    ReplStatusGuard status_guard;
+    TempDir primary_dir;
+    TempDir replica_dir;
+    Primary primary(primary_dir.path);
+    primary.registry.put("alpha", synthetic_models(3, 32, 1.0));
+    Replica replica(replica_dir.path, primary.server->port());
+    ASSERT_TRUE(wait_until(
+        [&] { return replica.replicator->applied_generation() >= 1; }));
+
+    // 5 KiB handshake against the 4 KiB bound: closed without a reply.
+    {
+        serve::LineConn hostile(Endpoint{"127.0.0.1", primary.server->port()},
+                                2.0, 10.0);
+        hostile.send_all("REPL HELLO " + std::string(5 * 1024, '7') + "\n");
+        EXPECT_THROW((void)hostile.read_line(), serve::TransportError);
+    }
+    EXPECT_TRUE(wait_until([&] { return primary.server->sessions() == 1; }));
+
+    // The established follower keeps streaming.
+    primary.registry.put("alpha", synthetic_models(3, 32, 2.0));
+    ASSERT_TRUE(wait_until(
+        [&] { return replica.replicator->applied_generation() >= 2; }));
+    EXPECT_EQ(replica.registry.get("alpha")->fingerprint,
+              primary.registry.get("alpha")->fingerprint);
 }
 
 TEST(ReplEndToEnd, ReplicaAnswersWritesWithTypedReadOnlyErrors) {

@@ -249,8 +249,9 @@ TEST(Protocol, RequestEncodeDecodeRoundTrip) {
 
 TEST(Protocol, ResponseEncodeDecodeRoundTrip) {
     {
-        const Response error = Response::make_error("it\nbroke");
-        // v5: legacy free text classifies as internal, newline sanitized.
+        const Response error =
+            Response::make_error(ErrorCode::kInternal, "it\nbroke");
+        // The newline is sanitized out of the one-line reply.
         EXPECT_EQ(error.encode(), "ERR internal it broke");
         const Response decoded = Response::decode(error.encode());
         EXPECT_EQ(decoded.kind, Response::Kind::kError);

@@ -39,6 +39,19 @@ void BM_FpmPartition(benchmark::State& state) {
 }
 BENCHMARK(BM_FpmPartition)->Arg(2)->Arg(6)->Arg(24)->Arg(96);
 
+// The same bisection on envelopes built once, as the partition service
+// runs it: the difference to BM_FpmPartition is the per-call envelope
+// construction.
+void BM_FpmPartitionPrebuiltEnvelopes(benchmark::State& state) {
+    const auto models = synthetic_devices(static_cast<std::size_t>(state.range(0)));
+    const auto envelopes = fpm::part::make_envelopes(models);
+    for (auto _ : state) {
+        const auto result = fpm::part::partition_fpm(models, envelopes, 4900.0);
+        benchmark::DoNotOptimize(result.partition.share.data());
+    }
+}
+BENCHMARK(BM_FpmPartitionPrebuiltEnvelopes)->Arg(2)->Arg(6)->Arg(24)->Arg(96);
+
 void BM_RoundPartition(benchmark::State& state) {
     const auto models = synthetic_devices(static_cast<std::size_t>(state.range(0)));
     const auto continuous = fpm::part::partition_fpm(models, 4900.0);
@@ -48,7 +61,7 @@ void BM_RoundPartition(benchmark::State& state) {
         benchmark::DoNotOptimize(rounded.blocks.data());
     }
 }
-BENCHMARK(BM_RoundPartition)->Arg(6)->Arg(24);
+BENCHMARK(BM_RoundPartition)->Arg(6)->Arg(24)->Arg(96);
 
 void BM_ColumnLayout(benchmark::State& state) {
     const auto devices = static_cast<std::size_t>(state.range(0));

@@ -42,13 +42,16 @@ std::vector<SpeedFunction> synthetic_models(std::size_t devices,
     return models;
 }
 
+constexpr std::int64_t kCacheCapacity = 4096;
+
 struct ServeFixture {
     ModelRegistry registry;
     RequestEngine engine;
 
     ServeFixture()
-        : engine(registry, {.workers = 4, .cache_capacity = 4096}) {
+        : engine(registry, {.workers = 4, .cache_capacity = kCacheCapacity}) {
         registry.put("hybrid", synthetic_models(6, 48));
+        registry.put("cluster", synthetic_models(96, 48));
     }
 };
 
@@ -57,18 +60,21 @@ ServeFixture& fixture() {
     return instance;
 }
 
-// Full pipeline per iteration: distinct n values defeat the cache.
+// Full pipeline per iteration: distinct n values defeat the cache.  The
+// argument is the device count: the 6-device node or a 96-device cluster.
 void BM_EngineColdPartition(benchmark::State& state) {
     auto& f = fixture();
+    const std::string set = state.range(0) == 96 ? "cluster" : "hybrid";
     std::int64_t n = 16;
     for (auto _ : state) {
-        n = 16 + (n + 1) % 4096;  // walks past any cache capacity reuse
-        const auto response =
-            f.engine.execute({"hybrid", n, Algorithm::kFpm, true});
+        // n steps by 17 through twice as many sizes as the cache holds,
+        // so every lookup misses.
+        n = 16 + (n + 1) % (2 * kCacheCapacity);
+        const auto response = f.engine.execute({set, n, Algorithm::kFpm, true});
         benchmark::DoNotOptimize(response.plan.get());
     }
 }
-BENCHMARK(BM_EngineColdPartition);
+BENCHMARK(BM_EngineColdPartition)->ArgName("devices")->Arg(6)->Arg(96);
 
 // Cache-hit path: the steady state of a hot key.
 void BM_EngineCachedPartition(benchmark::State& state) {
@@ -141,7 +147,7 @@ void BM_SocketPartitionRoundTrip(benchmark::State& state) {
     }
     server.stop();
 }
-BENCHMARK(BM_SocketPartitionRoundTrip);
+BENCHMARK(BM_SocketPartitionRoundTrip)->UseRealTime();
 
 std::string cached_partition_line() {
     Request request;
@@ -181,7 +187,7 @@ void BM_SocketRoundTripPerRequest(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(conns));
 }
-BENCHMARK(BM_SocketRoundTripPerRequest)->Arg(1)->Arg(64);
+BENCHMARK(BM_SocketRoundTripPerRequest)->Arg(1)->Arg(64)->UseRealTime();
 
 // Reactor pipelining: every connection keeps a 32-deep batch in flight;
 // items/s here vs BM_SocketRoundTripPerRequest/64 is the headline
@@ -226,7 +232,8 @@ BENCHMARK(BM_SocketPipelinedThroughput)
     ->Args({8, 1})
     ->Args({64, 1})
     ->Args({64, 2})
-    ->Args({64, 4});
+    ->Args({64, 4})
+    ->UseRealTime();
 
 // Protocol overhead alone.
 void BM_SocketPingRoundTrip(benchmark::State& state) {
@@ -241,7 +248,7 @@ void BM_SocketPingRoundTrip(benchmark::State& state) {
     }
     server.stop();
 }
-BENCHMARK(BM_SocketPingRoundTrip);
+BENCHMARK(BM_SocketPingRoundTrip)->UseRealTime();
 
 } // namespace
 

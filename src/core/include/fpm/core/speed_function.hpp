@@ -115,12 +115,18 @@ public:
     /// Envelope time at the end of the sampled grid.
     [[nodiscard]] double max_time() const noexcept;
 
+    /// The grid resolution the envelope was built at.
+    [[nodiscard]] std::size_t samples_per_segment() const noexcept {
+        return samples_per_segment_;
+    }
+
 private:
     std::vector<double> xs_;
     std::vector<double> ts_;  // running-max envelope, same length as xs_
     double max_x_ = 0.0;      // end of the sampled grid
     double max_problem_ = 0.0;
     double terminal_speed_ = 0.0;  // clamped speed past the grid
+    std::size_t samples_per_segment_ = 0;
 };
 
 } // namespace fpm::core

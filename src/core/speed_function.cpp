@@ -98,7 +98,8 @@ SpeedFunction SpeedFunction::spliced(double x, double speed,
     return SpeedFunction(std::move(merged), name_, max_problem_);
 }
 
-MonotoneTime::MonotoneTime(const SpeedFunction& fn, std::size_t samples_per_segment) {
+MonotoneTime::MonotoneTime(const SpeedFunction& fn, std::size_t samples_per_segment)
+    : samples_per_segment_(samples_per_segment) {
     FPM_CHECK(!fn.empty(), "cannot build MonotoneTime from an empty function");
     FPM_CHECK(samples_per_segment >= 1, "need at least one sample per segment");
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "fpm/common/error.hpp"
 
@@ -17,6 +18,36 @@ std::int64_t ColumnLayout::comm_cost() const {
         }
     }
     return cost;
+}
+
+std::vector<std::vector<std::size_t>> ColumnLayout::columns() const {
+    std::vector<std::size_t> devices;
+    for (std::size_t i = 0; i < rects.size(); ++i) {
+        if (rects[i].area() > 0) {
+            devices.push_back(i);
+        }
+    }
+    std::sort(devices.begin(), devices.end(), [&](std::size_t a, std::size_t b) {
+        return std::pair(rects[a].col0, rects[a].row0) <
+               std::pair(rects[b].col0, rects[b].row0);
+    });
+    std::vector<std::vector<std::size_t>> result;
+    for (const std::size_t device : devices) {
+        if (result.empty() ||
+            rects[result.back().front()].col0 != rects[device].col0) {
+            result.emplace_back();
+        }
+        result.back().push_back(device);
+    }
+    return result;
+}
+
+std::vector<std::int64_t> ColumnLayout::column_widths() const {
+    std::vector<std::int64_t> widths;
+    for (const auto& column : columns()) {
+        widths.push_back(rects[column.front()].w);
+    }
+    return widths;
 }
 
 std::vector<std::int64_t> ColumnLayout::actual_areas() const {
@@ -181,13 +212,14 @@ ColumnLayout column_partition(std::int64_t n, std::span<const std::int64_t> area
     for (const auto& [b, e] : segments) {
         column_area.push_back(prefix[e] - prefix[b]);
     }
-    layout.column_widths = proportional_split(column_area, n, /*minimum=*/1);
+    const std::vector<std::int64_t> widths =
+        proportional_split(column_area, n, /*minimum=*/1);
 
     // Lay out each column: heights proportional to device areas.
     std::int64_t col0 = 0;
     for (std::size_t c = 0; c < segments.size(); ++c) {
         const auto [b, e] = segments[c];
-        const std::int64_t width = layout.column_widths[c];
+        const std::int64_t width = widths[c];
 
         std::vector<double> weights;
         weights.reserve(e - b);
@@ -198,7 +230,6 @@ ColumnLayout column_partition(std::int64_t n, std::span<const std::int64_t> area
             proportional_split(weights, n, /*minimum=*/1);
 
         std::int64_t row0 = 0;
-        std::vector<std::size_t> column_devices;
         for (std::size_t k = b; k < e; ++k) {
             const std::size_t device = order[k];
             Rect rect;
@@ -208,10 +239,8 @@ ColumnLayout column_partition(std::int64_t n, std::span<const std::int64_t> area
             rect.h = heights[k - b];
             layout.rects[device] = rect;
             row0 += rect.h;
-            column_devices.push_back(device);
         }
         FPM_ASSERT(row0 == n);
-        layout.columns.push_back(std::move(column_devices));
         col0 += width;
     }
     FPM_ASSERT(col0 == n);

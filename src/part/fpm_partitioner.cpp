@@ -30,12 +30,39 @@ struct FpmMetrics {
 
 } // namespace
 
+std::vector<core::MonotoneTime>
+make_envelopes(std::span<const core::SpeedFunction> models,
+               std::size_t samples_per_segment) {
+    std::vector<core::MonotoneTime> envelopes;
+    envelopes.reserve(models.size());
+    for (const auto& model : models) {
+        envelopes.emplace_back(model, samples_per_segment);
+    }
+    return envelopes;
+}
+
 FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
+                                 double total,
+                                 const FpmPartitionOptions& options) {
+    const auto envelopes =
+        make_envelopes(models, options.envelope_samples_per_segment);
+    return partition_fpm(models, envelopes, total, options);
+}
+
+FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
+                                 std::span<const core::MonotoneTime> envelopes,
                                  double total,
                                  const FpmPartitionOptions& options) {
     obs::Span span("part.fpm_partition",
                    static_cast<std::uint64_t>(std::max(total, 0.0)));
     FPM_CHECK(!models.empty(), "need at least one device");
+    FPM_CHECK(envelopes.size() == models.size(),
+              "need exactly one envelope per model");
+    for (const auto& envelope : envelopes) {
+        FPM_CHECK(envelope.samples_per_segment() ==
+                      options.envelope_samples_per_segment,
+                  "envelopes were built at another resolution");
+    }
     FPM_CHECK(total >= 0.0, "total workload must be non-negative");
     FPM_CHECK(options.tolerance > 0.0, "tolerance must be positive");
     FPM_CHECK(options.max_iterations >= 1, "need at least one iteration");
@@ -57,13 +84,9 @@ FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
         return result;
     }
 
-    // Monotone execution-time envelopes, one per device.
-    std::vector<core::MonotoneTime> envelopes;
-    envelopes.reserve(p);
     double capacity = 0.0;
-    for (const auto& model : models) {
-        envelopes.emplace_back(model, options.envelope_samples_per_segment);
-        capacity += envelopes.back().max_problem();
+    for (const auto& envelope : envelopes) {
+        capacity += envelope.max_problem();
     }
     FPM_CHECK(capacity >= total,
               "combined device capacity cannot hold the requested workload");

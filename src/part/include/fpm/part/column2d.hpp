@@ -38,12 +38,18 @@ struct Rect {
     [[nodiscard]] std::int64_t half_perimeter() const { return w + h; }
 };
 
-/// The complete 2-D layout.
+/// The complete 2-D layout.  Only the rectangles are stored: a column is
+/// the set of non-empty rectangles sharing a col0, so the columns and
+/// their widths are derived from `rects` on demand.
 struct ColumnLayout {
     std::int64_t n = 0;                        ///< matrix size in blocks
     std::vector<Rect> rects;                   ///< indexed by device
-    std::vector<std::vector<std::size_t>> columns;  ///< device ids, top to bottom
-    std::vector<std::int64_t> column_widths;
+
+    /// Device ids per column, columns left to right, devices top to bottom.
+    [[nodiscard]] std::vector<std::vector<std::size_t>> columns() const;
+
+    /// Width of each column, in the order of columns().
+    [[nodiscard]] std::vector<std::int64_t> column_widths() const;
 
     /// Total half-perimeter of all non-empty rectangles (communication
     /// cost proxy minimised by the algorithm).

@@ -48,9 +48,30 @@ struct FpmPartitionResult {
     std::size_t iterations = 0;  ///< bisection steps used
 };
 
+/// One monotone execution-time envelope per model, at
+/// `samples_per_segment`.  They depend on the models alone, so a caller
+/// that partitions the same models many times builds them once and
+/// passes them to the envelope overload of partition_fpm().
+[[nodiscard]] std::vector<core::MonotoneTime>
+make_envelopes(std::span<const core::SpeedFunction> models,
+               std::size_t samples_per_segment =
+                   FpmPartitionOptions{}.envelope_samples_per_segment);
+
 /// Computes the balanced continuous partition.  Throws fpm::Error when the
-/// combined capacity of all devices cannot hold `total`.
+/// combined capacity of all devices cannot hold `total`.  Builds the
+/// envelopes (make_envelopes at options.envelope_samples_per_segment)
+/// and delegates to the overload below.
 FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
+                                 double total,
+                                 const FpmPartitionOptions& options = {});
+
+/// The same bisection on prebuilt envelopes: envelopes[i] must be
+/// models[i]'s, built at options.envelope_samples_per_segment.  Returns
+/// bit-for-bit what the models-only overload returns.  Throws fpm::Error
+/// when the envelope count differs from the model count or an envelope
+/// has another resolution.
+FpmPartitionResult partition_fpm(std::span<const core::SpeedFunction> models,
+                                 std::span<const core::MonotoneTime> envelopes,
                                  double total,
                                  const FpmPartitionOptions& options = {});
 

@@ -42,6 +42,9 @@ struct PartitionRequest {
     Algorithm algorithm = Algorithm::kFpm;
     bool with_layout = true;  ///< also compute the column 2-D layout
     FpmPartitionOptions options{};  ///< forwarded to the FPM bisection
+    /// Prebuilt FPM envelopes, one per model (see make_envelopes()); empty
+    /// builds them for this call.  Only Algorithm::kFpm reads them.
+    std::span<const core::MonotoneTime> envelopes{};
 };
 
 /// The full answer: integer shares plus (optionally) the column-based

@@ -81,20 +81,30 @@ IntPartition1D round_partition(const Partition1D& partition, std::int64_t total,
 
     // Local search: repeatedly move one block from the straggler to the
     // device whose time grows least, while the makespan strictly improves.
-    auto device_time = [&](std::size_t i, std::int64_t blocks) {
-        return models[i].time(static_cast<double>(blocks));
+    // A move changes two devices, so every device's time at its current
+    // count and at one block more is cached, and only the straggler and
+    // the receiver are re-evaluated after a move.
+    std::vector<double> current(p, 0.0);  // t_i(blocks_i), 0 when idle
+    std::vector<double> grown(p, 0.0);    // t_i(blocks_i + 1) within capacity
+    auto refresh = [&](std::size_t i) {
+        const std::int64_t blocks = result.blocks[i];
+        current[i] = blocks > 0 ? models[i].time(static_cast<double>(blocks))
+                                : 0.0;
+        if (static_cast<double>(blocks + 1) <= capacity(i)) {
+            grown[i] = models[i].time(static_cast<double>(blocks + 1));
+        }
     };
+    for (std::size_t i = 0; i < p; ++i) {
+        refresh(i);
+    }
     for (std::size_t move = 0; move < max_moves; ++move) {
         // Find the straggler.
         std::size_t worst = p;
         double worst_time = 0.0;
         for (std::size_t i = 0; i < p; ++i) {
-            if (result.blocks[i] > 0) {
-                const double t = device_time(i, result.blocks[i]);
-                if (t > worst_time) {
-                    worst_time = t;
-                    worst = i;
-                }
+            if (result.blocks[i] > 0 && current[i] > worst_time) {
+                worst_time = current[i];
+                worst = i;
             }
         }
         if (worst == p) {
@@ -112,9 +122,8 @@ IntPartition1D round_partition(const Partition1D& partition, std::int64_t total,
             if (static_cast<double>(result.blocks[j] + 1) > capacity(j)) {
                 continue;
             }
-            const double t = device_time(j, result.blocks[j] + 1);
-            if (t < receiver_time) {
-                receiver_time = t;
+            if (grown[j] < receiver_time) {
+                receiver_time = grown[j];
                 receiver = j;
             }
         }
@@ -126,8 +135,14 @@ IntPartition1D round_partition(const Partition1D& partition, std::int64_t total,
         // shrinks and the receiver stays below the old makespan.
         result.blocks[worst] -= 1;
         result.blocks[receiver] += 1;
-        const double new_makespan =
-            makespan(models, std::span<const std::int64_t>(result.blocks));
+        refresh(worst);
+        refresh(receiver);
+        double new_makespan = 0.0;
+        for (std::size_t i = 0; i < p; ++i) {
+            if (result.blocks[i] > 0) {
+                new_makespan = std::max(new_makespan, current[i]);
+            }
+        }
         if (new_makespan >= worst_time) {
             result.blocks[worst] += 1;
             result.blocks[receiver] -= 1;

@@ -49,7 +49,11 @@ PartitionPlan partition(const PartitionRequest& request) {
     plan.with_layout = request.with_layout;
     switch (request.algorithm) {
     case Algorithm::kFpm: {
-        auto result = partition_fpm(models, total, request.options);
+        auto result =
+            request.envelopes.empty()
+                ? partition_fpm(models, total, request.options)
+                : partition_fpm(models, request.envelopes, total,
+                                request.options);
         continuous = std::move(result.partition);
         plan.balanced_time = result.balanced_time;
         plan.iterations = result.iterations;

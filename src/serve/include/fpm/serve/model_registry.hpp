@@ -15,6 +15,13 @@
 /// fingerprint; the partition cache keys on the fingerprint rather than
 /// the name, so reloading identical content keeps the cache warm and
 /// reloading changed content naturally invalidates it.
+///
+/// Each snapshot also owns the FPM bisection's monotone time envelopes
+/// (one core::MonotoneTime per model).  They depend only on the models,
+/// so they are built once per generation — lazily, by the first request
+/// that misses the plan cache — and freed with the snapshot.  put() and
+/// restore() never build them, so publishing and recovery cost what they
+/// did before.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,12 +37,24 @@
 
 namespace fpm::serve {
 
-/// Immutable snapshot of one named set of device models.
+/// Immutable snapshot of one named set of device models.  Not copyable:
+/// it is shared by pointer, and its envelopes are built in place.
 struct ModelSet {
     std::string name;
     std::vector<core::SpeedFunction> models;
     std::uint64_t generation = 0;   ///< registry-wide monotone version
     std::uint64_t fingerprint = 0;  ///< content hash (names, points, caps)
+
+    /// The envelopes of `models` at the partitioner's default resolution
+    /// (part::make_envelopes), built by the first caller; concurrent
+    /// callers wait for that one build and all see the same span.  Each
+    /// build counts in the `serve.envelopes.built` obs counter.  The
+    /// models must not change once this has been called.
+    [[nodiscard]] std::span<const core::MonotoneTime> envelopes() const;
+
+private:
+    mutable std::once_flag envelopes_once_;
+    mutable std::vector<core::MonotoneTime> envelopes_;
 };
 
 /// FNV-1a content hash over every model's name, capacity and points.

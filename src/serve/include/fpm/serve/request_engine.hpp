@@ -40,7 +40,6 @@
 
 #include "fpm/measure/stats.hpp"
 #include "fpm/obs/metrics.hpp"
-#include "fpm/part/fpm_partitioner.hpp"
 #include "fpm/rt/thread_pool.hpp"
 #include "fpm/serve/error.hpp"
 #include "fpm/serve/model_registry.hpp"
@@ -120,7 +119,6 @@ public:
         /// so concurrent cache probes from N reactors do not serialize on
         /// one mutex; 1 keeps the exact single-LRU semantics.
         std::size_t cache_shards = 1;
-        part::FpmPartitionOptions partition{};  ///< forwarded to the bisection
         /// Serve stale/fallback plans instead of failing when the model
         /// is missing or a compute fails (see file comment).
         bool degraded = true;
@@ -231,12 +229,13 @@ public:
 
     /// The direct library call the service must agree with: runs the full
     /// pipeline on a model-set snapshot, bypassing registry, cache and
-    /// dedup.  Exposed so tests and benches can compare answers
-    /// bit-for-bit.
+    /// dedup.  FPM requests use the snapshot's envelopes (built on the
+    /// first call), which yields bit-for-bit the plan part::partition()
+    /// computes from the models alone.  Exposed so tests and benches can
+    /// compare answers bit-for-bit.
     [[nodiscard]] static PartitionPlan
     compute_plan(const ModelSet& set, std::int64_t n, Algorithm algorithm,
-                 bool with_layout,
-                 const part::FpmPartitionOptions& options = {});
+                 bool with_layout);
 
 private:
     struct InFlight {

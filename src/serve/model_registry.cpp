@@ -7,6 +7,8 @@
 #include "fpm/common/error.hpp"
 #include "fpm/core/model_io.hpp"
 #include "fpm/fault/fault.hpp"
+#include "fpm/obs/metrics.hpp"
+#include "fpm/part/fpm_partitioner.hpp"
 #include "fpm/serve/error.hpp"
 
 namespace fpm::serve {
@@ -51,6 +53,16 @@ std::uint64_t fingerprint_models(const std::vector<core::SpeedFunction>& models)
         }
     }
     return h;
+}
+
+std::span<const core::MonotoneTime> ModelSet::envelopes() const {
+    std::call_once(envelopes_once_, [this] {
+        envelopes_ = part::make_envelopes(models);
+        static auto& built =
+            obs::MetricsRegistry::global().counter("serve.envelopes.built");
+        built.add();
+    });
+    return envelopes_;
 }
 
 std::shared_ptr<const ModelSet>

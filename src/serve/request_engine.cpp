@@ -59,15 +59,16 @@ RequestEngine::RequestEngine(ModelRegistry& registry)
     : RequestEngine(registry, Options{}) {}
 
 PartitionPlan RequestEngine::compute_plan(const ModelSet& set, std::int64_t n,
-                                          Algorithm algorithm, bool with_layout,
-                                          const part::FpmPartitionOptions& options) {
+                                          Algorithm algorithm, bool with_layout) {
     obs::Span span("serve.compute", static_cast<std::uint64_t>(n));
     part::PartitionRequest request;
     request.models = set.models;
     request.n = n;
     request.algorithm = algorithm;
     request.with_layout = with_layout;
-    request.options = options;
+    if (algorithm == Algorithm::kFpm) {
+        request.envelopes = set.envelopes();
+    }
 
     PartitionPlan plan;
     static_cast<part::PartitionPlan&>(plan) = part::partition(request);
@@ -113,7 +114,7 @@ RequestEngine::degrade(const PartitionRequest& request, const ModelSet* set,
         try {
             plan = std::make_shared<const PartitionPlan>(
                 compute_plan(*set, request.n, Algorithm::kEven,
-                             request.with_layout, options_.partition));
+                             request.with_layout));
         } catch (...) {
             plan = nullptr;  // infeasible workload: nothing to serve
         }
@@ -215,8 +216,7 @@ PartitionResponse RequestEngine::execute(const PartitionRequest& request) {
             throw Error("injected fault: serve.compute");
         }
         auto plan = std::make_shared<const PartitionPlan>(compute_plan(
-            *set, request.n, request.algorithm, request.with_layout,
-            options_.partition));
+            *set, request.n, request.algorithm, request.with_layout));
         cache_.put(key, plan);
         {
             std::lock_guard lock(inflight_mutex_);

@@ -43,6 +43,12 @@
 /// store.recovered_generation gauge — all surfaced in the STATS wire
 /// reply and documented in docs/operations.md.
 ///
+/// Snapshots and replication transfers are written from the store's own
+/// mirror of the live content: one publish record (name, generation,
+/// fingerprint, models) per set.  The mirror never holds a
+/// serve::ModelSet, so what a set builds for serving — its FPM envelopes —
+/// is freed with the set and never duplicated here.
+///
 /// Threading: all public methods are safe to call concurrently; the
 /// append path is serialized by the registry mutex (observer) plus the
 /// store's own mutex.  recover() must run before attach().
@@ -75,8 +81,8 @@ struct PublishRecord {
     std::vector<core::SpeedFunction> models;
 };
 
-/// Renders the publish record for `set` (the WAL frame payload).
-[[nodiscard]] std::string encode_publish_record(const serve::ModelSet& set);
+/// Renders a publish record (the WAL frame payload).
+[[nodiscard]] std::string encode_publish_record(const PublishRecord& record);
 
 /// Parses and validates a publish record; `origin` names the source in
 /// error messages.  Throws fpm::Error on a malformed header or when the
@@ -236,8 +242,11 @@ private:
     serve::ModelRegistry* attached_ = nullptr;
     /// The store's own view of the published content — snapshots are
     /// written from here so the snapshot path never re-enters the
-    /// registry (whose mutex is held while the observer runs).
-    std::map<std::string, std::shared_ptr<const serve::ModelSet>> mirror_;
+    /// registry (whose mutex is held while the observer runs).  It keeps
+    /// each set's publish record (name, generation, fingerprint, models)
+    /// and none of what a serve::ModelSet builds on demand, such as its
+    /// envelopes.
+    std::map<std::string, PublishRecord> mirror_;
     std::uint64_t next_generation_ = 1;
     WalFile wal_;
     std::uint64_t segment_id_ = 0;

@@ -98,11 +98,11 @@ void write_file_durably(const std::string& path, const std::string& contents) {
 
 } // namespace
 
-std::string encode_publish_record(const serve::ModelSet& set) {
+std::string encode_publish_record(const PublishRecord& record) {
     std::ostringstream out;
-    out << "publish " << set.name << ' ' << set.generation << ' '
-        << fingerprint_hex(set.fingerprint) << '\n';
-    core::write_speed_functions(out, set.models);
+    out << "publish " << record.name << ' ' << record.generation << ' '
+        << fingerprint_hex(record.fingerprint) << '\n';
+    core::write_speed_functions(out, record.models);
     return out.str();
 }
 
@@ -177,7 +177,7 @@ RecoveryReport ModelStore::recover(serve::ModelRegistry& registry) {
     // mutex — which live put() observers hold while waiting on the store
     // mutex (registry -> store).  Holding the store mutex across
     // restore() would close that cycle into a deadlock.
-    std::map<std::string, std::shared_ptr<const serve::ModelSet>> mirror;
+    std::map<std::string, PublishRecord> mirror;
     std::uint64_t next_generation = 1;
     std::uint64_t snapshot_generation = 0;
 
@@ -231,15 +231,14 @@ RecoveryReport ModelStore::recover(serve::ModelRegistry& registry) {
                           std::to_string(replay.payloads.size() - 1) +
                           " sets, header promises " + std::to_string(sets));
 
-            std::map<std::string, std::shared_ptr<const serve::ModelSet>>
-                restored;
+            std::map<std::string, PublishRecord> restored;
             for (std::size_t i = 1; i < replay.payloads.size(); ++i) {
                 PublishRecord record =
                     decode_publish_record(replay.payloads[i], path);
-                auto set = registry.restore(record.name,
-                                            std::move(record.models),
-                                            record.generation);
-                restored[set->name] = set;
+                registry.restore(record.name, record.models,
+                                 record.generation);
+                std::string name = record.name;
+                restored[std::move(name)] = std::move(record);
             }
             mirror = std::move(restored);
             next_generation = std::max<std::uint64_t>(next, 1);
@@ -273,10 +272,10 @@ RecoveryReport ModelStore::recover(serve::ModelRegistry& registry) {
             if (record.generation < next_generation) {
                 continue;  // already covered by the snapshot
             }
-            auto set = registry.restore(record.name, std::move(record.models),
-                                        record.generation);
-            mirror[set->name] = set;
+            registry.restore(record.name, record.models, record.generation);
             next_generation = record.generation + 1;
+            std::string name = record.name;
+            mirror[std::move(name)] = std::move(record);
             ++report.wal_records;
         }
     }
@@ -339,7 +338,7 @@ void ModelStore::attach(serve::ModelRegistry& registry) {
             std::lock_guard lock(mutex_);
             const auto it = mirror_.find(set->name);
             logged = it != mirror_.end() &&
-                     it->second->generation == set->generation;
+                     it->second.generation == set->generation;
         }
         if (!logged) {
             append(*set);
@@ -362,7 +361,9 @@ void ModelStore::append(const serve::ModelSet& set) {
         FPM_CHECK(!stopped_, "store is stopped");
         FPM_CHECK(wal_.is_open(), "store log is not open");
 
-        const std::string payload = encode_publish_record(set);
+        PublishRecord record{set.name, set.generation, set.fingerprint,
+                             set.models};
+        const std::string payload = encode_publish_record(record);
         const std::uint64_t before = wal_.committed_bytes();
         const std::uint64_t frame_size = wal_.append(payload);
         if (options_.fsync_policy == FsyncPolicy::kAlways) {
@@ -381,7 +382,7 @@ void ModelStore::append(const serve::ModelSet& set) {
                 std::chrono::duration<double>(Clock::now() - start).count());
         }
 
-        mirror_[set.name] = std::make_shared<const serve::ModelSet>(set);
+        mirror_[set.name] = std::move(record);
         next_generation_ = std::max(next_generation_, set.generation + 1);
         ++stats_.appended;
         stats_.bytes += frame_size;
@@ -425,8 +426,8 @@ void ModelStore::snapshot_locked() {
                << " next=" << next_generation_ << " sets=" << mirror_.size();
         contents += encode_frame(header.str());
     }
-    for (const auto& [name, set] : mirror_) {
-        contents += encode_frame(encode_publish_record(*set));
+    for (const auto& [name, record] : mirror_) {
+        contents += encode_frame(encode_publish_record(record));
     }
 
     const std::string final_name = snapshot_name(generation);
@@ -540,18 +541,18 @@ ReplSnapshot ModelStore::replication_snapshot() const {
     // Generation order, not name order: a replica applies records in
     // arrival order and drops any at or below its highest applied
     // generation, so a newer set arriving first would hide older ones.
-    std::vector<const serve::ModelSet*> sets;
-    sets.reserve(mirror_.size());
+    std::vector<const PublishRecord*> records;
+    records.reserve(mirror_.size());
     for (const auto& entry : mirror_) {
-        sets.push_back(entry.second.get());
+        records.push_back(&entry.second);
     }
-    std::sort(sets.begin(), sets.end(), [](const auto* a, const auto* b) {
+    std::sort(records.begin(), records.end(), [](const auto* a, const auto* b) {
         return a->generation < b->generation;
     });
     ReplSnapshot snap;
-    snap.payloads.reserve(sets.size());
-    for (const serve::ModelSet* set : sets) {
-        snap.payloads.push_back(encode_publish_record(*set));
+    snap.payloads.reserve(records.size());
+    for (const PublishRecord* record : records) {
+        snap.payloads.push_back(encode_publish_record(*record));
     }
     snap.next_generation = next_generation_;
     snap.segment = segment_id_;

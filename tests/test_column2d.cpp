@@ -37,7 +37,7 @@ TEST(Column2D, SingleDeviceGetsWholeMatrix) {
     EXPECT_EQ(layout.rects[0].w, 10);
     EXPECT_EQ(layout.rects[0].h, 10);
     EXPECT_EQ(layout.comm_cost(), 20);
-    EXPECT_EQ(layout.columns.size(), 1U);
+    EXPECT_EQ(layout.columns().size(), 1U);
 }
 
 TEST(Column2D, EqualDevicesFormSquarishGrid) {
@@ -45,7 +45,7 @@ TEST(Column2D, EqualDevicesFormSquarishGrid) {
     // 4 and 4 columns of 1 (cost 2*(5+5)*2 = 40 vs 4*(10+2.5) wide/flat).
     const std::vector<std::int64_t> areas = {25, 25, 25, 25};
     const ColumnLayout layout = column_partition(10, areas);
-    EXPECT_EQ(layout.columns.size(), 2U);
+    EXPECT_EQ(layout.columns().size(), 2U);
     EXPECT_EQ(layout.comm_cost(), 40);
     for (const auto& rect : layout.rects) {
         EXPECT_EQ(rect.w, 5);
@@ -134,12 +134,14 @@ TEST_P(ColumnSweep, ExactCoverAndConsistency) {
     EXPECT_NO_THROW(layout.validate());
 
     // Column bookkeeping consistent with rectangles.
+    const auto columns = layout.columns();
+    const auto column_widths = layout.column_widths();
     std::int64_t width_sum = 0;
-    for (std::size_t c = 0; c < layout.columns.size(); ++c) {
-        width_sum += layout.column_widths[c];
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+        width_sum += column_widths[c];
         std::int64_t height_sum = 0;
-        for (const std::size_t device : layout.columns[c]) {
-            EXPECT_EQ(layout.rects[device].w, layout.column_widths[c]);
+        for (const std::size_t device : columns[c]) {
+            EXPECT_EQ(layout.rects[device].w, column_widths[c]);
             height_sum += layout.rects[device].h;
         }
         EXPECT_EQ(height_sum, n);
@@ -174,7 +176,7 @@ TEST(Column2D, DeviceCountBeyondRowsStillFeasibleViaColumns) {
     areas[0] += 64 - 60;
     const ColumnLayout layout = column_partition(n, areas);
     layout.validate();
-    EXPECT_GE(layout.columns.size(), 2U);
+    EXPECT_GE(layout.columns().size(), 2U);
 }
 
 } // namespace

@@ -271,7 +271,6 @@ TEST(FaultDegraded, CoalescedWaiterDegradesPastDeadline) {
     RequestEngine engine(registry,
                          {.workers = 2,
                           .cache_capacity = 16,
-                          .partition = {},
                           .degraded = true,
                           .coalesce_deadline = 0.05});
     const PartitionRequest request{"hybrid", 56, Algorithm::kFpm, true};

@@ -203,6 +203,44 @@ TEST(FpmPartitioner, OverheadValidation) {
     EXPECT_THROW(partition_fpm(models, 10.0, options), fpm::Error);
 }
 
+TEST(FpmPartitioner, PrebuiltEnvelopesGiveTheSameResult) {
+    const std::vector<SpeedFunction> models = {
+        SpeedFunction({{10.0, 5.0}, {100.0, 20.0}, {500.0, 18.0}}, "a"),
+        SpeedFunction({{10.0, 50.0}, {300.0, 80.0}}, "b", 250.0),
+        SpeedFunction::constant(7.0, "c"),
+    };
+    const auto envelopes = make_envelopes(models);
+    FpmPartitionOptions with_overheads;
+    with_overheads.fixed_overheads = {0.0, 0.5, 2.0};
+    for (const auto& options : {FpmPartitionOptions{}, with_overheads}) {
+        for (const double total : {0.0, 57.0, 333.3, 4096.0}) {
+            const auto built = partition_fpm(models, total, options);
+            const auto prebuilt =
+                partition_fpm(models, envelopes, total, options);
+            EXPECT_EQ(prebuilt.partition.share, built.partition.share);
+            EXPECT_EQ(prebuilt.balanced_time, built.balanced_time);
+            EXPECT_EQ(prebuilt.iterations, built.iterations);
+        }
+    }
+}
+
+TEST(FpmPartitioner, PrebuiltEnvelopesAreValidated) {
+    const auto models = two_constant_devices();
+    const auto envelopes = make_envelopes(models);
+    // One envelope per model, no more and no fewer.
+    EXPECT_THROW(partition_fpm(models, std::span(envelopes).first(1), 10.0),
+                 fpm::Error);
+    const auto three = make_envelopes(
+        std::vector<SpeedFunction>{models[0], models[1], models[0]});
+    EXPECT_THROW(partition_fpm(models, three, 10.0), fpm::Error);
+    // Envelopes of another resolution than the options ask for.
+    FpmPartitionOptions finer;
+    finer.envelope_samples_per_segment = 16;
+    EXPECT_THROW(partition_fpm(models, envelopes, 10.0, finer), fpm::Error);
+    EXPECT_NO_THROW(
+        partition_fpm(models, make_envelopes(models, 16), 10.0, finer));
+}
+
 TEST(FpmPartitioner, IterationsReported) {
     const auto models = two_constant_devices();
     const auto result = partition_fpm(models, 100.0);

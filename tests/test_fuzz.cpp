@@ -117,6 +117,133 @@ TEST(FuzzPartition, IntegerRoundingPreservesEverything) {
     }
 }
 
+/// The makespan-reducing local search as round_partition() ran it before
+/// device times were cached: every step re-evaluates every device.  The
+/// oracle the incremental version must agree with block for block.
+IntPartition1D round_partition_oracle(const Partition1D& partition,
+                                      std::int64_t total,
+                                      std::span<const SpeedFunction> models,
+                                      std::size_t max_moves = 256) {
+    // Rounding and capacity repair: the moves the local search starts
+    // from, which round_partition() also makes (and fewer than max_moves).
+    IntPartition1D result = round_partition(partition, total, models, 0);
+    const std::size_t p = result.blocks.size();
+    auto capacity = [&](std::size_t i) { return models[i].max_problem(); };
+    auto device_time = [&](std::size_t i, std::int64_t blocks) {
+        return models[i].time(static_cast<double>(blocks));
+    };
+    for (std::size_t move = 0; move < max_moves; ++move) {
+        std::size_t worst = p;
+        double worst_time = 0.0;
+        for (std::size_t i = 0; i < p; ++i) {
+            if (result.blocks[i] > 0) {
+                const double t = device_time(i, result.blocks[i]);
+                if (t > worst_time) {
+                    worst_time = t;
+                    worst = i;
+                }
+            }
+        }
+        if (worst == p) {
+            break;
+        }
+        std::size_t receiver = p;
+        double receiver_time = worst_time;
+        for (std::size_t j = 0; j < p; ++j) {
+            if (j == worst) {
+                continue;
+            }
+            if (static_cast<double>(result.blocks[j] + 1) > capacity(j)) {
+                continue;
+            }
+            const double t = device_time(j, result.blocks[j] + 1);
+            if (t < receiver_time) {
+                receiver_time = t;
+                receiver = j;
+            }
+        }
+        if (receiver == p) {
+            break;
+        }
+        result.blocks[worst] -= 1;
+        result.blocks[receiver] += 1;
+        const double new_makespan =
+            makespan(models, std::span<const std::int64_t>(result.blocks));
+        if (new_makespan >= worst_time) {
+            result.blocks[worst] += 1;
+            result.blocks[receiver] -= 1;
+            break;
+        }
+    }
+    return result;
+}
+
+TEST(FuzzPartition, IncrementalRoundingMatchesOracle) {
+    // Random populations up to cluster size, ~20 % of devices capped and
+    // ~30 % copies of an earlier device, as in a homogeneous cluster, so
+    // device times tie.  The continuous shares are the FPM solution
+    // blended with an even split, so the local search has imbalance to
+    // remove and runs many moves.
+    Rng rng(3074);
+    std::size_t moved = 0;
+    for (int trial = 0; trial < 120; ++trial) {
+        const std::size_t devices = 1 + rng.uniform_int(0, 95);
+        std::vector<SpeedFunction> models;
+        double capacity = 0.0;
+        for (std::size_t i = 0; i < devices; ++i) {
+            std::string name = "d" + std::to_string(i);
+            if (i > 0 && rng.uniform() < 0.3) {
+                const SpeedFunction twin = models[static_cast<std::size_t>(
+                    rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))];
+                models.emplace_back(twin.points(), std::move(name),
+                                    twin.max_problem());
+            } else {
+                models.push_back(random_model(rng, std::move(name)));
+            }
+            capacity += models.back().max_problem();
+        }
+        const double limit = 3000.0 * static_cast<double>(devices);
+        const auto total = static_cast<std::int64_t>(std::min(
+            rng.uniform(1.0, limit), std::isinf(capacity) ? limit : 0.9 * capacity));
+        if (total < 1) {
+            continue;
+        }
+        auto continuous =
+            partition_fpm(models, static_cast<double>(total)).partition;
+        const double blend = rng.uniform(0.0, 1.0);
+        const double even = static_cast<double>(total) / static_cast<double>(devices);
+        for (double& share : continuous.share) {
+            share = blend * share + (1.0 - blend) * even;
+        }
+        // The blend keeps the sum; re-split it exactly so rounding sees
+        // shares that add up to the total.
+        const double scale = static_cast<double>(total) / continuous.total();
+        for (double& share : continuous.share) {
+            share *= scale;
+        }
+        const auto run = [&](auto&& round) -> std::vector<std::int64_t> {
+            try {
+                return round(continuous, total, models).blocks;
+            } catch (const Error&) {
+                return {};  // both must refuse the same inputs
+            }
+        };
+        const auto want = run([](const auto& c, auto t, const auto& m) {
+            return round_partition_oracle(c, t, m);
+        });
+        const auto got = run([](const auto& c, auto t, const auto& m) {
+            return round_partition(c, t, m);
+        });
+        ASSERT_EQ(got, want) << "trial " << trial << " devices=" << devices;
+        const auto start = run([](const auto& c, auto t, const auto& m) {
+            return round_partition(c, t, m, 0);
+        });
+        moved += start == want ? 0 : 1;
+    }
+    // The comparison is only meaningful if the search actually moves.
+    EXPECT_GT(moved, 20u);
+}
+
 /// Exhaustive oracle for the column-layout DP: minimal continuous
 /// half-perimeter cost over ALL contiguous compositions of the sorted
 /// devices into columns.
@@ -184,13 +311,14 @@ TEST(FuzzColumn2D, DpMatchesExhaustiveOracle) {
         const double oracle =
             brute_force_column_cost(sorted_areas, static_cast<double>(n));
 
+        const auto columns = layout.columns();
         double dp_cost = 0.0;
-        for (std::size_t c = 0; c < layout.columns.size(); ++c) {
+        for (std::size_t c = 0; c < columns.size(); ++c) {
             double column_area = 0.0;
-            for (const std::size_t device : layout.columns[c]) {
+            for (const std::size_t device : columns[c]) {
                 column_area += static_cast<double>(areas[device]);
             }
-            dp_cost += static_cast<double>(layout.columns[c].size()) *
+            dp_cost += static_cast<double>(columns[c].size()) *
                            column_area / static_cast<double>(n) +
                        static_cast<double>(n);
         }
@@ -217,13 +345,14 @@ TEST(FuzzColumn2D, IntegerCostTracksContinuousCost) {
         areas[devices - 1] += remaining;
 
         const ColumnLayout layout = column_partition(n, areas);
+        const auto columns = layout.columns();
         double continuous_cost = 0.0;
-        for (std::size_t c = 0; c < layout.columns.size(); ++c) {
+        for (std::size_t c = 0; c < columns.size(); ++c) {
             double column_area = 0.0;
-            for (const std::size_t device : layout.columns[c]) {
+            for (const std::size_t device : columns[c]) {
                 column_area += static_cast<double>(areas[device]);
             }
-            continuous_cost += static_cast<double>(layout.columns[c].size()) *
+            continuous_cost += static_cast<double>(columns[c].size()) *
                                    column_area / static_cast<double>(n) +
                                static_cast<double>(n);
         }

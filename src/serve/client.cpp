@@ -283,7 +283,7 @@ ServerStats ServeClient::stats() {
     }
     FPM_CHECK(response.kind == Response::Kind::kStats,
               "malformed STATS reply");
-    return ServerStats::from_fields(response.stats);
+    return response.stats;
 }
 
 } // namespace fpm::serve

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fpm/serve/error.hpp"
@@ -102,9 +103,9 @@ struct LoadedReply {
     std::uint64_t fingerprint = 0;
 };
 
-/// One `key=value` field of an `OK STATS`/`OK HEALTH` response, in wire
-/// order.  The value is pre-rendered (integers, or %.17g doubles) so the
-/// field list is closed under encode()/decode() round trips.
+/// One undecoded `key=value` field of an `OK STATS`/`OK HEALTH` line.
+/// ServerStats/ServerHealth::from_fields type a list of them; the
+/// replies themselves carry the typed views.
 struct StatField {
     std::string name;
     std::string value;
@@ -116,13 +117,13 @@ struct StatField {
 /// durable store is configured — the generation recovered at startup.
 /// Since v5 the reply is an open key=value list like STATS: unknown
 /// fields land in `extras`, so probes keep working against newer
-/// servers.  Use from_fields() (or ServeClient::health()) instead of
-/// grepping the reply text.
+/// servers.  Like ServerStats, each member is one row of a field table
+/// in protocol.cpp that drives encode, decode and field_names().
 struct ServerHealth {
     bool live = true;
     bool ready = false;
     std::uint64_t models = 0;           ///< registry size
-    std::uint64_t faults_injected = 0;  ///< fault::injected_total()
+    std::uint64_t faults = 0;           ///< fault::injected_total()
     std::uint64_t degraded = 0;         ///< degraded partitions served
     /// Highest registry generation restored from the durable store at
     /// startup; 0 when no store is configured (or it was empty).
@@ -143,6 +144,9 @@ struct ServerHealth {
     /// `extras` untouched.
     [[nodiscard]] static ServerHealth
     from_fields(const std::vector<StatField>& fields);
+
+    /// Wire names of the known fields, in wire order.
+    [[nodiscard]] static const std::vector<std::string_view>& field_names();
 };
 
 /// One registry entry in an `OK MODELS` response.
@@ -164,10 +168,12 @@ struct AlgorithmStats {
 /// The typed view of an `OK STATS` reply: every field the current
 /// protocol revision emits, plus `extras` holding any `key=value` pair
 /// this build does not know (the forward-compat contract — decoders
-/// ignore unknown keys, and this struct *preserves* them).  Produced by
-/// from_fields() over a decoded StatField vector; consumed by
-/// ServeClient::stats(), the fpmpart_serve shutdown dump and the tests,
-/// none of which grep raw reply text anymore.
+/// ignore unknown keys, and this struct *preserves* them).  Each member
+/// is one row of a field table in protocol.cpp (wire name plus slot),
+/// and that table alone drives encode, decode, from_fields() and
+/// field_names().  make_stats_reply() fills it; Response carries it;
+/// ServeClient::stats(), the fpmpart_serve shutdown dump and the tests
+/// read it.
 struct ServerStats {
     // -- engine -------------------------------------------------------
     std::uint64_t requests = 0;
@@ -237,6 +243,9 @@ struct ServerStats {
     /// `extras` untouched.
     [[nodiscard]] static ServerStats
     from_fields(const std::vector<StatField>& fields);
+
+    /// Wire names of the known fields, in wire order.
+    [[nodiscard]] static const std::vector<std::string_view>& field_names();
 };
 
 /// A response message: a tagged struct mirroring Request.  decode()
@@ -254,7 +263,7 @@ struct Response {
     int version = kProtocolVersion;    ///< kPong
     LoadedReply loaded;                ///< kLoaded
     std::vector<ModelSetInfo> sets;    ///< kModels
-    std::vector<StatField> stats;      ///< kStats
+    ServerStats stats;                 ///< kStats
     ServerHealth health;               ///< kHealth
     PartitionReply partition;          ///< kPartition
     FeedbackReply feedback;            ///< kFeedback
@@ -278,7 +287,8 @@ make_partition_reply(const PartitionRequest& request,
 /// queue-to-reply quantiles, the adaptation counters (adapt_*) and the
 /// durable-store instruments (store_*, recovered_generation), all read
 /// from the process-global obs::MetricsRegistry (zero when no
-/// server/adapter/store ran yet).
+/// server/adapter/store ran yet), and the replication fields from
+/// ReplStatus.
 [[nodiscard]] Response make_stats_reply(const EngineStats& stats,
                                         std::size_t model_count);
 

@@ -1,10 +1,15 @@
 #include "fpm/serve/protocol.hpp"
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cinttypes>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "fpm/common/error.hpp"
 #include "fpm/fault/fault.hpp"
@@ -25,39 +30,65 @@ std::vector<std::string> tokenize(const std::string& line) {
     return tokens;
 }
 
-std::int64_t parse_int(const std::string& text, const char* what) {
+std::string malformed(std::string_view what, const std::string& text) {
+    std::string message = "malformed ";
+    message.append(what).append(": ").append(text);
+    return message;
+}
+
+std::int64_t parse_int(const std::string& text, std::string_view what) {
     errno = 0;
     char* end = nullptr;
     const long long value = std::strtoll(text.c_str(), &end, 10);
     FPM_CHECK(end != text.c_str() && *end == '\0' && errno == 0,
-              std::string("malformed ") + what + ": " + text);
+              malformed(what, text));
     return static_cast<std::int64_t>(value);
 }
 
-std::uint64_t parse_hex64(const std::string& text, const char* what) {
+/// strtoull alone would wrap "-1" to 2^64 - 1, so any '-' is rejected.
+std::uint64_t parse_u64(const std::string& text, std::string_view what) {
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    FPM_CHECK(text.find('-') == std::string::npos && end != text.c_str() &&
+                  *end == '\0' && errno == 0,
+              malformed(what, text));
+    return static_cast<std::uint64_t>(value);
+}
+
+std::uint64_t parse_hex64(const std::string& text, std::string_view what) {
     errno = 0;
     char* end = nullptr;
     const unsigned long long value = std::strtoull(text.c_str(), &end, 16);
     FPM_CHECK(end != text.c_str() && *end == '\0' && errno == 0,
-              std::string("malformed ") + what + ": " + text);
+              malformed(what, text));
     return static_cast<std::uint64_t>(value);
 }
 
-double parse_double(const std::string& text, const char* what) {
+/// Overflow is malformed; underflow is not (strtod flags a subnormal
+/// with ERANGE, but still returns it exactly, and %.17g emits them).
+double parse_double(const std::string& text, std::string_view what) {
     errno = 0;
     char* end = nullptr;
     const double value = std::strtod(text.c_str(), &end);
-    FPM_CHECK(end != text.c_str() && *end == '\0' && errno == 0,
-              std::string("malformed ") + what + ": " + text);
+    FPM_CHECK(end != text.c_str() && *end == '\0' &&
+                  (errno == 0 || std::isfinite(value)),
+              malformed(what, text));
     return value;
 }
 
 /// A double as 17 significant digits: not the shortest form, but every
 /// value round-trips bit-for-bit.
-std::string format_double(double value) {
+void append_double(std::string& out, double value) {
     char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.17g", value);
-    return buffer;
+    const int length = std::snprintf(buffer, sizeof buffer, "%.17g", value);
+    out.append(buffer, static_cast<std::size_t>(length));
+}
+
+std::string format_double(double value) {
+    std::string out;
+    append_double(out, value);
+    return out;
 }
 
 std::string format_hex64(std::uint64_t value) {
@@ -95,12 +126,219 @@ std::vector<std::string> split(const std::string& text, char sep) {
     return parts;
 }
 
-void append_histogram_us(std::vector<StatField>& fields,
-                         const std::string& prefix,
-                         const obs::HistogramSnapshot& histogram) {
-    fields.push_back({prefix + "_p50_us", format_double(histogram.p50 * 1e6)});
-    fields.push_back({prefix + "_p95_us", format_double(histogram.p95 * 1e6)});
-    fields.push_back({prefix + "_p99_us", format_double(histogram.p99 * 1e6)});
+// ---------------------------------------------------------------------------
+// STATS/HEALTH field rows
+// ---------------------------------------------------------------------------
+
+// One row per field drives encode (append_fields), decode (from_rows)
+// and field_names(); the builders further down only fill the views.
+
+/// `T*`, or `const T*` for a const view, so one row list serves both the
+/// encoder (reads a const view) and the decoder (fills a fresh one).
+template <class View, class T>
+using SlotPtr = std::conditional_t<std::is_const_v<View>, const T*, T*>;
+
+/// One STATS/HEALTH field: its wire name and the typed member of the
+/// view it fills.  Strings must be non-empty; bools travel as 0/1.
+template <class View>
+struct Row {
+    std::string_view name;
+    std::variant<SlotPtr<View, std::uint64_t>, SlotPtr<View, std::int64_t>,
+                 SlotPtr<View, double>, SlotPtr<View, bool>,
+                 SlotPtr<View, std::string>>
+        slot;
+};
+
+template <class View>
+concept StatsView = std::same_as<std::remove_const_t<View>, ServerStats>;
+template <class View>
+concept HealthView = std::same_as<std::remove_const_t<View>, ServerHealth>;
+
+/// `<algo>_count`, `<algo>_p50_us`, `<algo>_p95_us`, `<algo>_p99_us`
+/// per Algorithm, named once.
+const auto& algorithm_row_names() {
+    static const auto names = [] {
+        std::array<std::array<std::string, 4>, kAlgorithmCount> out;
+        for (std::size_t i = 0; i < kAlgorithmCount; ++i) {
+            const std::string algo = part::to_string(static_cast<Algorithm>(i));
+            out[i] = {algo + "_count", algo + "_p50_us", algo + "_p95_us",
+                      algo + "_p99_us"};
+        }
+        return out;
+    }();
+    return names;
+}
+
+/// The STATS rows, in wire order.
+template <StatsView View>
+std::vector<Row<View>> rows(View& s) {
+    std::vector<Row<View>> out = {
+        {"requests", &s.requests},
+        {"computed", &s.computed},
+        {"coalesced", &s.coalesced},
+        {"hits", &s.hits},
+        {"misses", &s.misses},
+        {"evictions", &s.evictions},
+        {"cache_size", &s.cache_size},
+        {"cache_shards", &s.cache_shards},
+        {"models", &s.models},
+        {"degraded", &s.degraded},
+        {"faults", &s.faults},
+        {"mean_latency_us", &s.mean_latency_us},
+        {"max_latency_us", &s.max_latency_us},
+    };
+    for (std::size_t i = 0; i < kAlgorithmCount; ++i) {
+        const auto& name = algorithm_row_names()[i];
+        auto& algo = s.by_algorithm[i];
+        out.insert(out.end(), {{name[0], &algo.count},
+                               {name[1], &algo.p50_us},
+                               {name[2], &algo.p95_us},
+                               {name[3], &algo.p99_us}});
+    }
+    out.insert(out.end(), {
+        {"reactors", &s.reactors},
+        {"open_conns", &s.open_conns},
+        {"buffered_bytes", &s.buffered_bytes},
+        {"accepted", &s.accepted},
+        {"rejected", &s.rejected},
+        {"idle_timeouts", &s.idle_timeouts},
+        {"send_failures", &s.send_failures},
+        {"pipelined", &s.pipelined},
+        {"pipeline_depth_max", &s.pipeline_depth_max},
+        {"q2r_p50_us", &s.q2r_p50_us},
+        {"q2r_p95_us", &s.q2r_p95_us},
+        {"q2r_p99_us", &s.q2r_p99_us},
+        {"adapt_samples", &s.adapt_samples},
+        {"adapt_reliable", &s.adapt_reliable},
+        {"adapt_drift", &s.adapt_drift},
+        {"adapt_republished", &s.adapt_republished},
+        {"adapt_model_version", &s.adapt_model_version},
+        {"store_appended", &s.store_appended},
+        {"store_bytes", &s.store_bytes},
+        {"store_snapshots", &s.store_snapshots},
+        {"store_fsync_p50_us", &s.store_fsync_p50_us},
+        {"store_fsync_p95_us", &s.store_fsync_p95_us},
+        {"store_fsync_p99_us", &s.store_fsync_p99_us},
+        {"recovered_generation", &s.recovered_generation},
+        {"role", &s.role},
+        {"repl_lag_frames", &s.repl_lag_frames},
+        {"repl_lag_seconds", &s.repl_lag_seconds},
+        {"repl_source", &s.repl_source},
+        {"repl_applied_generation", &s.repl_applied_generation},
+    });
+    return out;
+}
+
+/// The HEALTH rows, in wire order.
+template <HealthView View>
+std::vector<Row<View>> rows(View& h) {
+    return {
+        {"live", &h.live},
+        {"ready", &h.ready},
+        {"models", &h.models},
+        {"faults", &h.faults},
+        {"degraded", &h.degraded},
+        {"recovered_generation", &h.recovered_generation},
+        {"role", &h.role},
+        {"repl_lag_frames", &h.repl_lag_frames},
+        {"repl_lag_seconds", &h.repl_lag_seconds},
+        {"repl_source", &h.repl_source},
+        {"repl_applied_generation", &h.repl_applied_generation},
+    };
+}
+
+template <class T>
+void append_value(std::string& out, const T& value) {
+    if constexpr (std::is_same_v<T, bool>) {
+        out += value ? '1' : '0';
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        out += value;
+    } else if constexpr (std::is_same_v<T, double>) {
+        append_double(out, value);
+    } else {
+        char buffer[24];
+        out.append(buffer,
+                   std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+    }
+}
+
+template <class T>
+void parse_value(const std::string& text, std::string_view name, T& slot) {
+    if constexpr (std::is_same_v<T, bool>) {
+        slot = parse_int(text, name) != 0;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        FPM_CHECK(!text.empty(), malformed(name, text));
+        slot = text;
+    } else if constexpr (std::is_same_v<T, double>) {
+        slot = parse_double(text, name);
+    } else if constexpr (std::is_signed_v<T>) {
+        slot = parse_int(text, name);
+    } else {
+        slot = parse_u64(text, name);
+    }
+}
+
+/// Appends ` name=value` for every row, then the verbatim extras.
+template <class View>
+void append_fields(std::string& out, const View& view) {
+    for (const auto& row : rows(view)) {
+        out += ' ';
+        out += row.name;
+        out += '=';
+        std::visit([&out](const auto* slot) { append_value(out, *slot); },
+                   row.slot);
+    }
+    for (const auto& [key, value] : view.extras) {
+        out += ' ';
+        out += key;
+        out += '=';
+        out += value;
+    }
+}
+
+template <class View>
+const std::vector<std::string_view>& row_names() {
+    static const auto names = [] {
+        View view;
+        std::vector<std::string_view> out;
+        for (const auto& row : rows(view)) {
+            out.push_back(row.name);
+        }
+        return out;
+    }();
+    return names;
+}
+
+/// Types `fields` through the rows: known names parse into their slot
+/// (in field order, so a repeated name keeps the last value), unknown
+/// names land in `extras`.
+template <class View>
+View from_rows(const std::vector<StatField>& fields) {
+    static const auto index = [] {
+        std::map<std::string_view, std::size_t> out;
+        const auto& names = row_names<View>();
+        for (std::size_t i = 0; i < names.size(); ++i) {
+            out.emplace(names[i], i);
+        }
+        return out;
+    }();
+    View view;
+    const auto slots = rows(view);
+    std::size_t next = 0;  // a server sends the rows in order
+    for (const StatField& field : fields) {
+        if (next >= slots.size() || slots[next].name != field.name) {
+            const auto it = index.find(field.name);
+            if (it == index.end()) {
+                view.extras[field.name] = field.value;  // forward-compat
+                continue;
+            }
+            next = it->second;
+        }
+        std::visit([&field](auto* slot) {
+            parse_value(field.value, field.name, *slot);
+        }, slots[next++].slot);
+    }
+    return view;
 }
 
 } // namespace
@@ -262,31 +500,15 @@ std::string Response::encode() const {
         return out.str();
     }
     case Kind::kStats: {
-        std::ostringstream out;
-        out << "OK STATS";
-        for (const StatField& field : stats) {
-            out << ' ' << field.name << '=' << field.value;
-        }
-        return out.str();
+        std::string out = "OK STATS";
+        out.reserve(1024);
+        append_fields(out, stats);
+        return out;
     }
     case Kind::kHealth: {
-        std::ostringstream out;
-        out << "OK HEALTH live=" << (health.live ? 1 : 0)
-            << " ready=" << (health.ready ? 1 : 0)
-            << " models=" << health.models
-            << " faults=" << health.faults_injected
-            << " degraded=" << health.degraded
-            << " recovered_generation=" << health.recovered_generation
-            << " role=" << (health.role.empty() ? "primary" : health.role)
-            << " repl_lag_frames=" << health.repl_lag_frames
-            << " repl_lag_seconds=" << format_double(health.repl_lag_seconds)
-            << " repl_source="
-            << (health.repl_source.empty() ? "-" : health.repl_source)
-            << " repl_applied_generation=" << health.repl_applied_generation;
-        for (const auto& [key, value] : health.extras) {
-            out << ' ' << key << '=' << value;
-        }
-        return out.str();
+        std::string out = "OK HEALTH";
+        append_fields(out, health);
+        return out;
     }
     case Kind::kPartition: {
         std::ostringstream out;
@@ -373,17 +595,17 @@ Response Response::decode(const std::string& line) {
         FPM_CHECK(tokens.size() == 6, "malformed LOADED reply: " + line);
         response.kind = Kind::kLoaded;
         response.loaded.name = expect_kv(tokens[2], "name");
-        response.loaded.models = static_cast<std::uint64_t>(
-            parse_int(expect_kv(tokens[3], "models"), "model count"));
-        response.loaded.generation = static_cast<std::uint64_t>(
-            parse_int(expect_kv(tokens[4], "gen"), "generation"));
+        response.loaded.models =
+            parse_u64(expect_kv(tokens[3], "models"), "model count");
+        response.loaded.generation =
+            parse_u64(expect_kv(tokens[4], "gen"), "generation");
         response.loaded.fingerprint =
             parse_hex64(expect_kv(tokens[5], "fingerprint"), "fingerprint");
     } else if (tag == "MODELS") {
         FPM_CHECK(tokens.size() == 4, "malformed MODELS reply: " + line);
         response.kind = Kind::kModels;
-        const std::uint64_t count = static_cast<std::uint64_t>(
-            parse_int(expect_kv(tokens[2], "count"), "set count"));
+        const std::uint64_t count =
+            parse_u64(expect_kv(tokens[2], "count"), "set count");
         const std::string sets_text = expect_kv(tokens[3], "sets");
         if (sets_text != "-") {
             for (const auto& entry : split(sets_text, ',')) {
@@ -392,44 +614,37 @@ Response Response::decode(const std::string& line) {
                           "malformed model-set entry: " + entry);
                 ModelSetInfo info;
                 info.name = fields[0];
-                info.generation = static_cast<std::uint64_t>(
-                    parse_int(fields[1], "generation"));
-                info.models = static_cast<std::uint64_t>(
-                    parse_int(fields[2], "model count"));
+                info.generation = parse_u64(fields[1], "generation");
+                info.models = parse_u64(fields[2], "model count");
                 response.sets.push_back(std::move(info));
             }
         }
         FPM_CHECK(response.sets.size() == count,
                   "MODELS count disagrees with its set list: " + line);
-    } else if (tag == "STATS") {
-        response.kind = Kind::kStats;
-        for (std::size_t i = 2; i < tokens.size(); ++i) {
-            const auto eq = tokens[i].find('=');
-            FPM_CHECK(eq != std::string::npos && eq > 0,
-                      "malformed STATS field: " + tokens[i]);
-            response.stats.push_back(
-                {tokens[i].substr(0, eq), tokens[i].substr(eq + 1)});
-        }
-    } else if (tag == "HEALTH") {
-        // Open key=value list since v5 (a v3/v4 reply is a strict
-        // prefix, so it decodes through the same path).
-        response.kind = Kind::kHealth;
+    } else if (tag == "STATS" || tag == "HEALTH") {
+        // Open key=value lists: unknown keys land in `extras`.
         std::vector<StatField> fields;
         for (std::size_t i = 2; i < tokens.size(); ++i) {
             const auto eq = tokens[i].find('=');
             FPM_CHECK(eq != std::string::npos && eq > 0,
-                      "malformed HEALTH field: " + tokens[i]);
+                      "malformed " + tag + " field: " + tokens[i]);
             fields.push_back(
                 {tokens[i].substr(0, eq), tokens[i].substr(eq + 1)});
         }
-        response.health = ServerHealth::from_fields(fields);
+        if (tag == "STATS") {
+            response.kind = Kind::kStats;
+            response.stats = ServerStats::from_fields(fields);
+        } else {
+            response.kind = Kind::kHealth;
+            response.health = ServerHealth::from_fields(fields);
+        }
     } else if (tag == "PARTITION") {
         FPM_CHECK(tokens.size() == 14, "malformed partition reply: " + line);
         response.kind = Kind::kPartition;
         PartitionReply& parsed = response.partition;
         parsed.model = expect_kv(tokens[2], "model");
-        parsed.generation = static_cast<std::uint64_t>(
-            parse_int(expect_kv(tokens[3], "gen"), "generation"));
+        parsed.generation =
+            parse_u64(expect_kv(tokens[3], "gen"), "generation");
         parsed.n = parse_int(expect_kv(tokens[4], "n"), "n");
         const auto algorithm =
             part::parse_algorithm(expect_kv(tokens[5], "algo"));
@@ -469,15 +684,14 @@ Response Response::decode(const std::string& line) {
         FeedbackReply& parsed = response.feedback;
         parsed.model_set = expect_kv(tokens[2], "set");
         parsed.device = parse_int(expect_kv(tokens[3], "device"), "device");
-        parsed.samples = static_cast<std::uint64_t>(
-            parse_int(expect_kv(tokens[4], "samples"), "sample count"));
+        parsed.samples =
+            parse_u64(expect_kv(tokens[4], "samples"), "sample count");
         parsed.reliable =
             parse_int(expect_kv(tokens[5], "reliable"), "reliable") != 0;
         parsed.drift = parse_int(expect_kv(tokens[6], "drift"), "drift") != 0;
         parsed.republished =
             parse_int(expect_kv(tokens[7], "republished"), "republished") != 0;
-        parsed.version = static_cast<std::uint64_t>(
-            parse_int(expect_kv(tokens[8], "version"), "version"));
+        parsed.version = parse_u64(expect_kv(tokens[8], "version"), "version");
     } else {
         throw Error("unknown response tag: " + tag);
     }
@@ -509,366 +723,113 @@ PartitionReply make_partition_reply(const PartitionRequest& request,
     return reply;
 }
 
+namespace {
+
+obs::Gauge& recovered_generation_gauge() {
+    static auto& gauge =
+        obs::MetricsRegistry::global().gauge("store.recovered_generation");
+    return gauge;
+}
+
+/// The replication rows' values, shared by STATS and HEALTH.  Role and
+/// source never go out empty: the decoder rejects empty strings.
+void fill_repl(auto& view) {
+    ReplStatusSnapshot repl = ReplStatus::global().snapshot();
+    view.role = repl.role.empty() ? "primary" : std::move(repl.role);
+    view.repl_lag_frames = repl.lag_frames;
+    view.repl_lag_seconds = repl.lag_seconds;
+    view.repl_source = repl.source.empty() ? "-" : std::move(repl.source);
+    view.repl_applied_generation = repl.applied_generation;
+}
+
+} // namespace
+
 Response make_stats_reply(const EngineStats& stats, std::size_t model_count) {
     Response response;
     response.kind = Response::Kind::kStats;
-    auto& fields = response.stats;
-    fields.push_back({"requests", std::to_string(stats.requests)});
-    fields.push_back({"computed", std::to_string(stats.computed)});
-    fields.push_back({"coalesced", std::to_string(stats.coalesced)});
-    fields.push_back({"hits", std::to_string(stats.cache.hits)});
-    fields.push_back({"misses", std::to_string(stats.cache.misses)});
-    fields.push_back({"evictions", std::to_string(stats.cache.evictions)});
-    fields.push_back({"cache_size", std::to_string(stats.cache.size)});
-    fields.push_back({"cache_shards", std::to_string(stats.cache_shards)});
-    fields.push_back({"models", std::to_string(model_count)});
-    fields.push_back({"degraded", std::to_string(stats.degraded)});
-    fields.push_back({"faults", std::to_string(fault::injected_total())});
-    fields.push_back(
-        {"mean_latency_us", format_double(stats.latency.mean * 1e6)});
-    fields.push_back(
-        {"max_latency_us", format_double(stats.latency.max * 1e6)});
+    ServerStats& s = response.stats;
+    s.requests = stats.requests;
+    s.computed = stats.computed;
+    s.coalesced = stats.coalesced;
+    s.hits = stats.cache.hits;
+    s.misses = stats.cache.misses;
+    s.evictions = stats.cache.evictions;
+    s.cache_size = stats.cache.size;
+    s.cache_shards = stats.cache_shards;
+    s.models = model_count;
+    s.degraded = stats.degraded;
+    s.faults = fault::injected_total();
+    s.mean_latency_us = stats.latency.mean * 1e6;
+    s.max_latency_us = stats.latency.max * 1e6;
     for (std::size_t i = 0; i < kAlgorithmCount; ++i) {
         const auto& histogram = stats.latency_by_algorithm[i];
-        const std::string algo = part::to_string(static_cast<Algorithm>(i));
-        fields.push_back({algo + "_count", std::to_string(histogram.count)});
-        append_histogram_us(fields, algo, histogram);
+        s.by_algorithm[i] = {histogram.count, histogram.p50 * 1e6,
+                             histogram.p95 * 1e6, histogram.p99 * 1e6};
     }
 
     // Reactor lifecycle: process-global, so STATS works identically over
     // the wire and in-process (all-zero until a server has run).
     const ReactorMetrics& reactor = ReactorMetrics::get();
-    fields.push_back({"reactors", std::to_string(reactor.reactors.value())});
-    fields.push_back(
-        {"open_conns", std::to_string(reactor.open_connections.value())});
-    fields.push_back(
-        {"buffered_bytes", std::to_string(reactor.buffered_bytes.value())});
-    fields.push_back({"accepted", std::to_string(reactor.accepted.value())});
-    fields.push_back({"rejected", std::to_string(reactor.rejected.value())});
-    fields.push_back(
-        {"idle_timeouts", std::to_string(reactor.idle_timeouts.value())});
-    fields.push_back(
-        {"send_failures", std::to_string(reactor.send_failures.value())});
-    fields.push_back({"pipelined", std::to_string(reactor.pipelined.value())});
-    fields.push_back({"pipeline_depth_max",
-                      std::to_string(reactor.pipeline_depth.max())});
-    append_histogram_us(fields, "q2r",
-                        reactor.queue_to_reply_seconds.snapshot());
+    s.reactors = static_cast<std::uint64_t>(reactor.reactors.value());
+    s.open_conns = reactor.open_connections.value();
+    s.buffered_bytes = reactor.buffered_bytes.value();
+    s.accepted = reactor.accepted.value();
+    s.rejected = reactor.rejected.value();
+    s.idle_timeouts = reactor.idle_timeouts.value();
+    s.send_failures = reactor.send_failures.value();
+    s.pipelined = reactor.pipelined.value();
+    s.pipeline_depth_max = reactor.pipeline_depth.max();
+    const auto q2r = reactor.queue_to_reply_seconds.snapshot();
+    s.q2r_p50_us = q2r.p50 * 1e6;
+    s.q2r_p95_us = q2r.p95 * 1e6;
+    s.q2r_p99_us = q2r.p99 * 1e6;
 
-    // Online adaptation: also process-global (the adapt layer sits above
-    // serve, so the protocol reads the raw instruments by name).  All
-    // zero until an AdaptEngine has ingested feedback.
+    // Online adaptation and the durable store: also process-global (both
+    // layers sit above serve, so the protocol reads the raw instruments
+    // by name).  All zero until an AdaptEngine / ModelStore ran.
     static auto& metrics = obs::MetricsRegistry::global();
     static auto& adapt_samples = metrics.counter("adapt.samples");
     static auto& adapt_reliable = metrics.counter("adapt.reliable");
     static auto& adapt_drift = metrics.counter("adapt.drift");
     static auto& adapt_republished = metrics.counter("adapt.republished");
     static auto& adapt_version = metrics.gauge("adapt.model_version");
-    fields.push_back({"adapt_samples", std::to_string(adapt_samples.value())});
-    fields.push_back(
-        {"adapt_reliable", std::to_string(adapt_reliable.value())});
-    fields.push_back({"adapt_drift", std::to_string(adapt_drift.value())});
-    fields.push_back(
-        {"adapt_republished", std::to_string(adapt_republished.value())});
-    fields.push_back(
-        {"adapt_model_version", std::to_string(adapt_version.value())});
-
-    // Durable model store: process-global like the adapt layer (the
-    // store sits above serve).  All zero until a store is attached.
     static auto& store_appended = metrics.counter("store.appended");
     static auto& store_bytes = metrics.counter("store.bytes");
     static auto& store_snapshots = metrics.counter("store.snapshots");
     static auto& store_fsync = metrics.histogram("store.fsync_seconds");
-    static auto& recovered = metrics.gauge("store.recovered_generation");
-    fields.push_back({"store_appended", std::to_string(store_appended.value())});
-    fields.push_back({"store_bytes", std::to_string(store_bytes.value())});
-    fields.push_back(
-        {"store_snapshots", std::to_string(store_snapshots.value())});
-    append_histogram_us(fields, "store_fsync", store_fsync.snapshot());
-    fields.push_back(
-        {"recovered_generation", std::to_string(recovered.value())});
+    s.adapt_samples = adapt_samples.value();
+    s.adapt_reliable = adapt_reliable.value();
+    s.adapt_drift = adapt_drift.value();
+    s.adapt_republished = adapt_republished.value();
+    s.adapt_model_version = static_cast<std::uint64_t>(adapt_version.value());
+    s.store_appended = store_appended.value();
+    s.store_bytes = store_bytes.value();
+    s.store_snapshots = store_snapshots.value();
+    const auto fsync = store_fsync.snapshot();
+    s.store_fsync_p50_us = fsync.p50 * 1e6;
+    s.store_fsync_p95_us = fsync.p95 * 1e6;
+    s.store_fsync_p99_us = fsync.p99 * 1e6;
+    s.recovered_generation =
+        static_cast<std::uint64_t>(recovered_generation_gauge().value());
 
-    // Replication (v6): role/source are process-global strings the repl
-    // layer publishes through ReplStatus (defaults on a plain primary).
-    const ReplStatusSnapshot repl = ReplStatus::global().snapshot();
-    fields.push_back({"role", repl.role.empty() ? "primary" : repl.role});
-    fields.push_back({"repl_lag_frames", std::to_string(repl.lag_frames)});
-    fields.push_back({"repl_lag_seconds", format_double(repl.lag_seconds)});
-    fields.push_back(
-        {"repl_source", repl.source.empty() ? "-" : repl.source});
-    fields.push_back({"repl_applied_generation",
-                      std::to_string(repl.applied_generation)});
+    fill_repl(s);
     return response;
 }
 
-namespace {
-
-/// One known STATS field: where it lands in ServerStats and how its
-/// value parses.  Captureless lambdas, so the table is plain function
-/// pointers.
-using StatSetter = void (*)(ServerStats&, const std::string&);
-
-std::uint64_t stat_u64(const std::string& value, const char* what) {
-    return static_cast<std::uint64_t>(parse_int(value, what));
-}
-
-const std::map<std::string, StatSetter, std::less<>>& stat_setters() {
-    auto algo_entries = [](std::map<std::string, StatSetter, std::less<>>& m) {
-        m["fpm_count"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[0].count = stat_u64(v, "fpm_count");
-        };
-        m["fpm_p50_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[0].p50_us = parse_double(v, "fpm_p50_us");
-        };
-        m["fpm_p95_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[0].p95_us = parse_double(v, "fpm_p95_us");
-        };
-        m["fpm_p99_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[0].p99_us = parse_double(v, "fpm_p99_us");
-        };
-        m["cpm_count"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[1].count = stat_u64(v, "cpm_count");
-        };
-        m["cpm_p50_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[1].p50_us = parse_double(v, "cpm_p50_us");
-        };
-        m["cpm_p95_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[1].p95_us = parse_double(v, "cpm_p95_us");
-        };
-        m["cpm_p99_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[1].p99_us = parse_double(v, "cpm_p99_us");
-        };
-        m["even_count"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[2].count = stat_u64(v, "even_count");
-        };
-        m["even_p50_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[2].p50_us = parse_double(v, "even_p50_us");
-        };
-        m["even_p95_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[2].p95_us = parse_double(v, "even_p95_us");
-        };
-        m["even_p99_us"] = [](ServerStats& s, const std::string& v) {
-            s.by_algorithm[2].p99_us = parse_double(v, "even_p99_us");
-        };
-    };
-    static const auto table = [&algo_entries]() {
-        std::map<std::string, StatSetter, std::less<>> m;
-        m["requests"] = [](ServerStats& s, const std::string& v) {
-            s.requests = stat_u64(v, "requests");
-        };
-        m["computed"] = [](ServerStats& s, const std::string& v) {
-            s.computed = stat_u64(v, "computed");
-        };
-        m["coalesced"] = [](ServerStats& s, const std::string& v) {
-            s.coalesced = stat_u64(v, "coalesced");
-        };
-        m["degraded"] = [](ServerStats& s, const std::string& v) {
-            s.degraded = stat_u64(v, "degraded");
-        };
-        m["mean_latency_us"] = [](ServerStats& s, const std::string& v) {
-            s.mean_latency_us = parse_double(v, "mean_latency_us");
-        };
-        m["max_latency_us"] = [](ServerStats& s, const std::string& v) {
-            s.max_latency_us = parse_double(v, "max_latency_us");
-        };
-        m["hits"] = [](ServerStats& s, const std::string& v) {
-            s.hits = stat_u64(v, "hits");
-        };
-        m["misses"] = [](ServerStats& s, const std::string& v) {
-            s.misses = stat_u64(v, "misses");
-        };
-        m["evictions"] = [](ServerStats& s, const std::string& v) {
-            s.evictions = stat_u64(v, "evictions");
-        };
-        m["cache_size"] = [](ServerStats& s, const std::string& v) {
-            s.cache_size = stat_u64(v, "cache_size");
-        };
-        m["cache_shards"] = [](ServerStats& s, const std::string& v) {
-            s.cache_shards = stat_u64(v, "cache_shards");
-        };
-        m["models"] = [](ServerStats& s, const std::string& v) {
-            s.models = stat_u64(v, "models");
-        };
-        m["faults"] = [](ServerStats& s, const std::string& v) {
-            s.faults = stat_u64(v, "faults");
-        };
-        m["reactors"] = [](ServerStats& s, const std::string& v) {
-            s.reactors = stat_u64(v, "reactors");
-        };
-        m["open_conns"] = [](ServerStats& s, const std::string& v) {
-            s.open_conns = parse_int(v, "open_conns");
-        };
-        m["buffered_bytes"] = [](ServerStats& s, const std::string& v) {
-            s.buffered_bytes = parse_int(v, "buffered_bytes");
-        };
-        m["accepted"] = [](ServerStats& s, const std::string& v) {
-            s.accepted = stat_u64(v, "accepted");
-        };
-        m["rejected"] = [](ServerStats& s, const std::string& v) {
-            s.rejected = stat_u64(v, "rejected");
-        };
-        m["idle_timeouts"] = [](ServerStats& s, const std::string& v) {
-            s.idle_timeouts = stat_u64(v, "idle_timeouts");
-        };
-        m["send_failures"] = [](ServerStats& s, const std::string& v) {
-            s.send_failures = stat_u64(v, "send_failures");
-        };
-        m["pipelined"] = [](ServerStats& s, const std::string& v) {
-            s.pipelined = stat_u64(v, "pipelined");
-        };
-        m["pipeline_depth_max"] = [](ServerStats& s, const std::string& v) {
-            s.pipeline_depth_max = parse_int(v, "pipeline_depth_max");
-        };
-        m["q2r_p50_us"] = [](ServerStats& s, const std::string& v) {
-            s.q2r_p50_us = parse_double(v, "q2r_p50_us");
-        };
-        m["q2r_p95_us"] = [](ServerStats& s, const std::string& v) {
-            s.q2r_p95_us = parse_double(v, "q2r_p95_us");
-        };
-        m["q2r_p99_us"] = [](ServerStats& s, const std::string& v) {
-            s.q2r_p99_us = parse_double(v, "q2r_p99_us");
-        };
-        m["adapt_samples"] = [](ServerStats& s, const std::string& v) {
-            s.adapt_samples = stat_u64(v, "adapt_samples");
-        };
-        m["adapt_reliable"] = [](ServerStats& s, const std::string& v) {
-            s.adapt_reliable = stat_u64(v, "adapt_reliable");
-        };
-        m["adapt_drift"] = [](ServerStats& s, const std::string& v) {
-            s.adapt_drift = stat_u64(v, "adapt_drift");
-        };
-        m["adapt_republished"] = [](ServerStats& s, const std::string& v) {
-            s.adapt_republished = stat_u64(v, "adapt_republished");
-        };
-        m["adapt_model_version"] = [](ServerStats& s, const std::string& v) {
-            s.adapt_model_version = stat_u64(v, "adapt_model_version");
-        };
-        m["store_appended"] = [](ServerStats& s, const std::string& v) {
-            s.store_appended = stat_u64(v, "store_appended");
-        };
-        m["store_bytes"] = [](ServerStats& s, const std::string& v) {
-            s.store_bytes = stat_u64(v, "store_bytes");
-        };
-        m["store_snapshots"] = [](ServerStats& s, const std::string& v) {
-            s.store_snapshots = stat_u64(v, "store_snapshots");
-        };
-        m["store_fsync_p50_us"] = [](ServerStats& s, const std::string& v) {
-            s.store_fsync_p50_us = parse_double(v, "store_fsync_p50_us");
-        };
-        m["store_fsync_p95_us"] = [](ServerStats& s, const std::string& v) {
-            s.store_fsync_p95_us = parse_double(v, "store_fsync_p95_us");
-        };
-        m["store_fsync_p99_us"] = [](ServerStats& s, const std::string& v) {
-            s.store_fsync_p99_us = parse_double(v, "store_fsync_p99_us");
-        };
-        m["recovered_generation"] = [](ServerStats& s, const std::string& v) {
-            s.recovered_generation = stat_u64(v, "recovered_generation");
-        };
-        m["role"] = [](ServerStats& s, const std::string& v) {
-            FPM_CHECK(!v.empty(), "malformed value for role");
-            s.role = v;
-        };
-        m["repl_lag_frames"] = [](ServerStats& s, const std::string& v) {
-            s.repl_lag_frames = stat_u64(v, "repl_lag_frames");
-        };
-        m["repl_lag_seconds"] = [](ServerStats& s, const std::string& v) {
-            s.repl_lag_seconds = parse_double(v, "repl_lag_seconds");
-        };
-        m["repl_source"] = [](ServerStats& s, const std::string& v) {
-            FPM_CHECK(!v.empty(), "malformed value for repl_source");
-            s.repl_source = v;
-        };
-        m["repl_applied_generation"] = [](ServerStats& s,
-                                          const std::string& v) {
-            s.repl_applied_generation =
-                stat_u64(v, "repl_applied_generation");
-        };
-        algo_entries(m);
-        return m;
-    }();
-    return table;
-}
-
-} // namespace
-
 ServerStats ServerStats::from_fields(const std::vector<StatField>& fields) {
-    ServerStats stats;
-    const auto& setters = stat_setters();
-    for (const StatField& field : fields) {
-        const auto it = setters.find(field.name);
-        if (it == setters.end()) {
-            stats.extras[field.name] = field.value;  // forward-compat
-            continue;
-        }
-        it->second(stats, field.value);
-    }
-    return stats;
+    return from_rows<ServerStats>(fields);
 }
 
-namespace {
-
-/// The HEALTH analogue of stat_setters(): one entry per known field.
-using HealthSetter = void (*)(ServerHealth&, const std::string&);
-
-const std::map<std::string, HealthSetter, std::less<>>& health_setters() {
-    static const auto table = []() {
-        std::map<std::string, HealthSetter, std::less<>> m;
-        m["live"] = [](ServerHealth& h, const std::string& v) {
-            h.live = parse_int(v, "live") != 0;
-        };
-        m["ready"] = [](ServerHealth& h, const std::string& v) {
-            h.ready = parse_int(v, "ready") != 0;
-        };
-        m["models"] = [](ServerHealth& h, const std::string& v) {
-            h.models = stat_u64(v, "models");
-        };
-        m["faults"] = [](ServerHealth& h, const std::string& v) {
-            h.faults_injected = stat_u64(v, "faults");
-        };
-        m["degraded"] = [](ServerHealth& h, const std::string& v) {
-            h.degraded = stat_u64(v, "degraded");
-        };
-        m["recovered_generation"] = [](ServerHealth& h, const std::string& v) {
-            h.recovered_generation = stat_u64(v, "recovered_generation");
-        };
-        m["role"] = [](ServerHealth& h, const std::string& v) {
-            FPM_CHECK(!v.empty(), "malformed value for role");
-            h.role = v;
-        };
-        m["repl_lag_frames"] = [](ServerHealth& h, const std::string& v) {
-            h.repl_lag_frames = stat_u64(v, "repl_lag_frames");
-        };
-        m["repl_lag_seconds"] = [](ServerHealth& h, const std::string& v) {
-            h.repl_lag_seconds = parse_double(v, "repl_lag_seconds");
-        };
-        m["repl_source"] = [](ServerHealth& h, const std::string& v) {
-            FPM_CHECK(!v.empty(), "malformed value for repl_source");
-            h.repl_source = v;
-        };
-        m["repl_applied_generation"] = [](ServerHealth& h,
-                                          const std::string& v) {
-            h.repl_applied_generation =
-                stat_u64(v, "repl_applied_generation");
-        };
-        return m;
-    }();
-    return table;
+const std::vector<std::string_view>& ServerStats::field_names() {
+    return row_names<ServerStats>();
 }
-
-} // namespace
 
 ServerHealth ServerHealth::from_fields(const std::vector<StatField>& fields) {
-    ServerHealth health;
-    const auto& setters = health_setters();
-    for (const StatField& field : fields) {
-        const auto it = setters.find(field.name);
-        if (it == setters.end()) {
-            health.extras[field.name] = field.value;  // forward-compat
-            continue;
-        }
-        it->second(health, field.value);
-    }
-    return health;
+    return from_rows<ServerHealth>(fields);
+}
+
+const std::vector<std::string_view>& ServerHealth::field_names() {
+    return row_names<ServerHealth>();
 }
 
 Response handle_request(RequestEngine& engine, const Request& request) {
@@ -909,21 +870,14 @@ Response handle_request(RequestEngine& engine, const Request& request) {
             return make_stats_reply(engine.stats(), engine.registry().size());
         case Request::Kind::kHealth: {
             response.kind = Response::Kind::kHealth;
-            response.health.live = true;
-            response.health.models = engine.registry().size();
-            response.health.ready = response.health.models > 0;
-            response.health.faults_injected = fault::injected_total();
-            response.health.degraded = engine.stats().degraded;
-            static auto& recovered = obs::MetricsRegistry::global().gauge(
-                "store.recovered_generation");
-            response.health.recovered_generation =
-                static_cast<std::uint64_t>(recovered.value());
-            const ReplStatusSnapshot repl = ReplStatus::global().snapshot();
-            response.health.role = repl.role;
-            response.health.repl_lag_frames = repl.lag_frames;
-            response.health.repl_lag_seconds = repl.lag_seconds;
-            response.health.repl_source = repl.source;
-            response.health.repl_applied_generation = repl.applied_generation;
+            ServerHealth& health = response.health;
+            health.models = engine.registry().size();
+            health.ready = health.models > 0;
+            health.faults = fault::injected_total();
+            health.degraded = engine.stats().degraded;
+            health.recovered_generation = static_cast<std::uint64_t>(
+                recovered_generation_gauge().value());
+            fill_repl(health);
             return response;
         }
         case Request::Kind::kPartition: {

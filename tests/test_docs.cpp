@@ -1,8 +1,9 @@
 // Docs-consistency checks: the runbook, the protocol spec, the
 // adaptation guide and the benchmarking guide are kept honest against
 // the code they describe.  Every ServeConfig knob and every STATS field
-// must be documented in docs/operations.md, every protocol verb must
-// appear in docs/protocol.md, every AdaptConfig knob in
+// must be documented in docs/operations.md, every protocol verb and
+// every HEALTH field must appear in docs/protocol.md (the field names
+// come from the STATS/HEALTH field tables), every AdaptConfig knob in
 // docs/adaptation.md, and every fpmpart_bench flag plus every
 // BENCH_loadgen.json field in docs/benchmarking.md.  The source tree's
 // location is baked in via FPMPART_SOURCE_DIR at configure time.
@@ -13,12 +14,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fpm/loadgen/report.hpp"
 #include "fpm/serve/error.hpp"
 #include "fpm/serve/protocol.hpp"
-#include "fpm/serve/request_engine.hpp"
 
 namespace {
 
@@ -145,12 +146,11 @@ TEST(DocsConsistency, OperationsRunbookCoversEveryServeConfigKnob) {
 
 TEST(DocsConsistency, OperationsRunbookCoversEveryStatsField) {
     const std::string runbook = read_file("docs/operations.md");
-    const fpm::serve::Response stats =
-        fpm::serve::make_stats_reply(fpm::serve::EngineStats{}, 0);
-    ASSERT_FALSE(stats.stats.empty());
-    for (const auto& field : stats.stats) {
-        EXPECT_NE(runbook.find(field.name), std::string::npos)
-            << "STATS field '" << field.name << "' is not documented in "
+    const auto& names = fpm::serve::ServerStats::field_names();
+    ASSERT_FALSE(names.empty());
+    for (const std::string_view name : names) {
+        EXPECT_NE(runbook.find(name), std::string::npos)
+            << "STATS field '" << name << "' is not documented in "
             << "docs/operations.md";
     }
 }
@@ -226,12 +226,18 @@ TEST(DocsConsistency, ProtocolSpecCoversEveryVerbAndHealthField) {
     }
     for (const char* token :
          {"OK PONG", "OK HEALTH", "OK PARTITION", "OK FEEDBACK", "ERR ",
-          "degraded=", "live=", "ready=", "faults=", "coalesced=",
+          "degraded=", "coalesced=",
           "reliable=", "republished=", "feedback not enabled",
           "unknown command", "cache_shards=", "reactors=",
           "ServerStats"}) {
         EXPECT_NE(spec.find(token), std::string::npos)
             << "token '" << token << "' is not documented in docs/protocol.md";
+    }
+    // Every HEALTH row, as it appears on the wire.
+    for (const std::string_view name : fpm::serve::ServerHealth::field_names()) {
+        EXPECT_NE(spec.find(std::string(name) + "="), std::string::npos)
+            << "HEALTH field '" << name << "=' is not documented in "
+            << "docs/protocol.md";
     }
 }
 
@@ -242,9 +248,7 @@ TEST(DocsConsistency, ProtocolSpecCoversTheReplVerbs) {
     for (const char* token :
          {"REPL HELLO", "OK REPL STREAM", "OK REPL SNAP", "REPL FRAME",
           "REPL SNAP bytes=", "REPL PING", "committed=", "pos=",
-          "`read_only`", "role=", "repl_lag_frames=", "repl_lag_seconds=",
-          "repl_source=", "repl_applied_generation=",
-          "docs/replication.md"}) {
+          "`read_only`", "docs/replication.md"}) {
         EXPECT_NE(spec.find(token), std::string::npos)
             << "'" << token << "' is not documented in docs/protocol.md";
     }
@@ -305,14 +309,19 @@ TEST(DocsConsistency, AdaptStatsFieldsAreDocumented) {
     // and the adaptation guide (semantics).
     const std::string runbook = read_file("docs/operations.md");
     const std::string guide = read_file("docs/adaptation.md");
-    for (const char* field :
-         {"adapt_samples", "adapt_reliable", "adapt_drift",
-          "adapt_republished", "adapt_model_version"}) {
+    std::size_t adapt_fields = 0;
+    for (const std::string_view field :
+         fpm::serve::ServerStats::field_names()) {
+        if (!field.starts_with("adapt_")) {
+            continue;
+        }
+        ++adapt_fields;
         EXPECT_NE(runbook.find(field), std::string::npos)
             << "STATS field '" << field << "' missing from operations.md";
         EXPECT_NE(guide.find(field), std::string::npos)
             << "STATS field '" << field << "' missing from adaptation.md";
     }
+    EXPECT_GE(adapt_fields, 5u);
 }
 
 TEST(DocsConsistency, BenchmarkingGuideCoversEveryBenchFlag) {

@@ -7,12 +7,18 @@
 // hang, or escape as a different exception type.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "fpm/common/error.hpp"
 #include "fpm/common/rng.hpp"
+#include "fpm/serve/model_registry.hpp"
 #include "fpm/serve/protocol.hpp"
+#include "fpm/serve/repl_status.hpp"
 
 namespace {
 
@@ -234,12 +240,14 @@ TEST(ProtocolResponse, ModelsRoundTripsEmptyAndFull) {
 TEST(ProtocolResponse, StatsRoundTrips) {
     Response stats;
     stats.kind = Response::Kind::kStats;
-    stats.stats = {{"requests", "10"}, {"q2r_p50_us", "1.5"}, {"empty", ""}};
+    stats.stats.requests = 10;
+    stats.stats.q2r_p50_us = 1.5;
+    stats.stats.extras["empty"] = "";
     const Response decoded = Response::decode(stats.encode());
-    ASSERT_EQ(decoded.stats.size(), 3u);
-    EXPECT_EQ(decoded.stats[0].name, "requests");
-    EXPECT_EQ(decoded.stats[0].value, "10");
-    EXPECT_EQ(decoded.stats[2].value, "");
+    ASSERT_EQ(decoded.stats.extras.size(), 1u);
+    EXPECT_EQ(decoded.stats.requests, 10u);
+    EXPECT_EQ(decoded.stats.q2r_p50_us, 1.5);
+    EXPECT_EQ(decoded.stats.extras.at("empty"), "");
 }
 
 TEST(ProtocolResponse, HealthRoundTrips) {
@@ -248,14 +256,14 @@ TEST(ProtocolResponse, HealthRoundTrips) {
     health.health.live = true;
     health.health.ready = false;
     health.health.models = 0;
-    health.health.faults_injected = 42;
+    health.health.faults = 42;
     health.health.degraded = 7;
     const Response decoded = Response::decode(health.encode());
     EXPECT_EQ(decoded.kind, Response::Kind::kHealth);
     EXPECT_TRUE(decoded.health.live);
     EXPECT_FALSE(decoded.health.ready);
     EXPECT_EQ(decoded.health.models, 0u);
-    EXPECT_EQ(decoded.health.faults_injected, 42u);
+    EXPECT_EQ(decoded.health.faults, 42u);
     EXPECT_EQ(decoded.health.degraded, 7u);
 }
 
@@ -471,6 +479,20 @@ TEST(ProtocolFuzz, WrongArityRepliesAreErrors) {
         "republished=0 version=1 extra=1",
         "OK FEEDBACK set=s device=x samples=1 reliable=0 drift=0 "
         "republished=0 version=1",
+        // A sign in an unsigned field (strtoll-then-cast used to wrap -1
+        // to 2^64 - 1).
+        "OK LOADED name=x models=-1 gen=3 fingerprint=0000000000000001",
+        "OK LOADED name=x models=1 gen=-3 fingerprint=0000000000000001",
+        "OK MODELS count=1 sets=cpu:-1:2",
+        "OK MODELS count=1 sets=cpu:1:-2",
+        "OK FEEDBACK set=s device=0 samples=-1 reliable=0 drift=0 "
+        "republished=0 version=1",
+        "OK FEEDBACK set=s device=0 samples=1 reliable=0 drift=0 "
+        "republished=0 version=-1",
+        "OK PARTITION model=m gen=-1 n=4 algo=fpm cached=0 coalesced=0 "
+        "degraded=0 balanced=1 makespan=1 comm=1 blocks=1 layout=-",
+        "OK HEALTH live=1 ready=1 models=-2",
+        "OK STATS requests=-1",
     };
     for (const std::string& line : bad) {
         EXPECT_FALSE(response_decodes(line)) << "accepted: " << line;
@@ -499,7 +521,7 @@ TEST(ProtocolServerStats, FullStatsReplyParsesWithNoExtras) {
     const Response decoded = Response::decode(encoded.encode());
     ASSERT_EQ(decoded.kind, Response::Kind::kStats);
 
-    const ServerStats stats = ServerStats::from_fields(decoded.stats);
+    const ServerStats& stats = decoded.stats;
     EXPECT_EQ(stats.requests, 12u);
     EXPECT_EQ(stats.computed, 7u);
     EXPECT_EQ(stats.coalesced, 2u);
@@ -530,17 +552,51 @@ TEST(ProtocolServerStats, MalformedKnownValuesThrow) {
     for (const StatField& bad :
          {StatField{"requests", "abc"}, StatField{"requests", ""},
           StatField{"q2r_p50_us", "fast"}, StatField{"open_conns", "1x"},
-          StatField{"reactors", "-"}, StatField{"cache_shards", "four"}}) {
+          StatField{"reactors", "-"}, StatField{"cache_shards", "four"},
+          StatField{"requests", "-1"}, StatField{"repl_lag_frames", "-1"},
+          StatField{"store_bytes", "18446744073709551616"}}) {
         EXPECT_THROW((void)ServerStats::from_fields({bad}), fpm::Error)
             << bad.name << "=" << bad.value;
     }
 }
 
+TEST(ProtocolServerStats, FullUnsignedRangeRoundTrips) {
+    constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(ServerStats::from_fields({{"store_bytes", "18446744073709551615"}})
+                  .store_bytes,
+              kMax);
+    Response response;
+    response.kind = Response::Kind::kStats;
+    response.stats.store_bytes = kMax;
+    EXPECT_EQ(Response::decode(response.encode()).stats.store_bytes, kMax);
+}
+
+TEST(ProtocolServerStats, DoublesRenderAsPrintf17gAndRoundTripExactly) {
+    Response response;
+    response.kind = Response::Kind::kStats;
+    for (const double value :
+         {0.1, 1e-9, 123.456, 1.0 / 3.0, 5e-324, 1e300, -0.0, 12345678.9}) {
+        response.stats.mean_latency_us = value;
+        const std::string line = response.encode();
+        const std::string key = " mean_latency_us=";
+        const auto start = line.find(key) + key.size();
+        char expected[64];
+        std::snprintf(expected, sizeof expected, "%.17g", value);
+        EXPECT_EQ(line.substr(start, line.find(' ', start) - start), expected);
+        const double decoded = Response::decode(line).stats.mean_latency_us;
+        EXPECT_EQ(std::signbit(decoded), std::signbit(value));
+        EXPECT_EQ(decoded, value);
+    }
+}
+
 TEST(ProtocolFuzz, RandomStatFieldsNeverEscapeAsNonError) {
+    // Every row of both views, plus a name neither knows.
     Rng rng(0x57a757a75ULL);
-    const std::vector<std::string> names = {
-        "requests",  "computed",  "hits",        "reactors", "cache_shards",
-        "open_conns", "q2r_p50_us", "mystery", "fpm_count", "adapt_samples"};
+    std::vector<std::string> names = {"mystery"};
+    for (const auto& view_names :
+         {ServerStats::field_names(), ServerHealth::field_names()}) {
+        names.insert(names.end(), view_names.begin(), view_names.end());
+    }
     const std::string alphabet = "0123456789.-+eXz ";
     for (int i = 0; i < 2000; ++i) {
         std::vector<StatField> fields;
@@ -563,7 +619,99 @@ TEST(ProtocolFuzz, RandomStatFieldsNeverEscapeAsNonError) {
         } catch (const Error&) {
             // malformed known value: typed error, never a crash
         }
+        try {
+            (void)ServerHealth::from_fields(fields);
+        } catch (const Error&) {
+        }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The STATS/HEALTH wire contract, pinned: names, order and value format
+// of what a fresh server emits.  Any change here is a wire change.  This
+// binary never starts a server, adapter or store, so the process-global
+// instruments the replies read are all zero.
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> wire_field_names(const std::string& line) {
+    std::istringstream tokens(line);
+    std::string token;
+    tokens >> token >> token;  // OK <TAG>
+    std::vector<std::string> names;
+    while (tokens >> token) {
+        names.push_back(token.substr(0, token.find('=')));
+    }
+    return names;
+}
+
+TEST(ProtocolWireContract, StatsAndHealthLinesArePinned) {
+    ReplStatus::global().reset();
+    ModelRegistry registry;
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 4});
+    const std::string stats = handle_line(engine, "STATS");
+    const std::string health = handle_line(engine, "HEALTH");
+
+    EXPECT_EQ(wire_field_names(stats),
+              (std::vector<std::string>{
+                  "requests", "computed", "coalesced", "hits", "misses",
+                  "evictions", "cache_size", "cache_shards", "models",
+                  "degraded", "faults", "mean_latency_us", "max_latency_us",
+                  "fpm_count", "fpm_p50_us", "fpm_p95_us", "fpm_p99_us",
+                  "cpm_count", "cpm_p50_us", "cpm_p95_us", "cpm_p99_us",
+                  "even_count", "even_p50_us", "even_p95_us", "even_p99_us",
+                  "reactors", "open_conns", "buffered_bytes", "accepted",
+                  "rejected", "idle_timeouts", "send_failures", "pipelined",
+                  "pipeline_depth_max", "q2r_p50_us", "q2r_p95_us",
+                  "q2r_p99_us", "adapt_samples", "adapt_reliable",
+                  "adapt_drift", "adapt_republished", "adapt_model_version",
+                  "store_appended", "store_bytes", "store_snapshots",
+                  "store_fsync_p50_us", "store_fsync_p95_us",
+                  "store_fsync_p99_us", "recovered_generation", "role",
+                  "repl_lag_frames", "repl_lag_seconds", "repl_source",
+                  "repl_applied_generation"}));
+    EXPECT_EQ(wire_field_names(health),
+              (std::vector<std::string>{
+                  "live", "ready", "models", "faults", "degraded",
+                  "recovered_generation", "role", "repl_lag_frames",
+                  "repl_lag_seconds", "repl_source",
+                  "repl_applied_generation"}));
+
+    EXPECT_EQ(stats,
+              "OK STATS requests=0 computed=0 coalesced=0 hits=0 misses=0 "
+              "evictions=0 cache_size=0 cache_shards=1 models=0 degraded=0 "
+              "faults=0 mean_latency_us=0 max_latency_us=0 fpm_count=0 "
+              "fpm_p50_us=0 fpm_p95_us=0 fpm_p99_us=0 cpm_count=0 "
+              "cpm_p50_us=0 cpm_p95_us=0 cpm_p99_us=0 even_count=0 "
+              "even_p50_us=0 even_p95_us=0 even_p99_us=0 reactors=0 "
+              "open_conns=0 buffered_bytes=0 accepted=0 rejected=0 "
+              "idle_timeouts=0 send_failures=0 pipelined=0 "
+              "pipeline_depth_max=0 q2r_p50_us=0 q2r_p95_us=0 q2r_p99_us=0 "
+              "adapt_samples=0 adapt_reliable=0 adapt_drift=0 "
+              "adapt_republished=0 adapt_model_version=0 store_appended=0 "
+              "store_bytes=0 store_snapshots=0 store_fsync_p50_us=0 "
+              "store_fsync_p95_us=0 store_fsync_p99_us=0 "
+              "recovered_generation=0 role=primary repl_lag_frames=0 "
+              "repl_lag_seconds=0 repl_source=- repl_applied_generation=0");
+    EXPECT_EQ(health,
+              "OK HEALTH live=1 ready=0 models=0 faults=0 degraded=0 "
+              "recovered_generation=0 role=primary repl_lag_frames=0 "
+              "repl_lag_seconds=0 repl_source=- repl_applied_generation=0");
+
+    // A replica's letterbox values (record_applied leaves the contact
+    // clock alone, so the line stays deterministic).
+    ReplStatus::global().set_role("replica");
+    ReplStatus::global().set_source("10.0.0.7:9111");
+    ReplStatus::global().record_applied(12);
+    EXPECT_EQ(handle_line(engine, "HEALTH"),
+              "OK HEALTH live=1 ready=0 models=0 faults=0 degraded=0 "
+              "recovered_generation=0 role=replica repl_lag_frames=0 "
+              "repl_lag_seconds=0 repl_source=10.0.0.7:9111 "
+              "repl_applied_generation=12");
+    const std::string replica_stats = handle_line(engine, "STATS");
+    EXPECT_EQ(replica_stats.substr(replica_stats.find(" role=")),
+              " role=replica repl_lag_frames=0 repl_lag_seconds=0 "
+              "repl_source=10.0.0.7:9111 repl_applied_generation=12");
+    ReplStatus::global().reset();
 }
 
 // ---------------------------------------------------------------------------

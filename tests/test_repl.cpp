@@ -655,8 +655,7 @@ TEST(ReplTypedViews, StatsReplyCarriesTheReplStatusLetterbox) {
 
     ModelRegistry registry;
     RequestEngine engine(registry, {.workers = 1, .cache_capacity = 4});
-    const Response reply = serve::make_stats_reply(engine.stats(), 0);
-    const auto stats = serve::ServerStats::from_fields(reply.stats);
+    const auto stats = serve::make_stats_reply(engine.stats(), 0).stats;
     EXPECT_EQ(stats.role, "replica");
     EXPECT_EQ(stats.repl_source, "10.0.0.7:9111");
     EXPECT_EQ(stats.repl_lag_frames, 3u);
@@ -714,6 +713,7 @@ TEST(ReplTypedViews, UnknownFieldsLandInExtrasAndMalformedValuesThrow) {
     // Known fields with malformed values fail loudly, never silently.
     for (const auto& bad : std::vector<serve::StatField>{
              {"repl_lag_frames", "many"},
+             {"repl_lag_frames", "-1"},
              {"repl_lag_seconds", "soon"},
              {"repl_applied_generation", "-"},
              {"role", ""},
@@ -723,6 +723,11 @@ TEST(ReplTypedViews, UnknownFieldsLandInExtrasAndMalformedValuesThrow) {
         EXPECT_THROW((void)serve::ServerHealth::from_fields({bad}), fpm::Error)
             << bad.name << "=" << bad.value;
     }
+    // Unsigned fields of one view only: a sign is malformed, not wrapped.
+    EXPECT_THROW((void)serve::ServerStats::from_fields({{"requests", "-1"}}),
+                 fpm::Error);
+    EXPECT_THROW((void)serve::ServerHealth::from_fields({{"models", "-2"}}),
+                 fpm::Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -329,7 +329,7 @@ TEST(Protocol, HandleLineBasics) {
     const Response stats_response =
         Response::decode(handle_line(engine, "STATS"));
     ASSERT_EQ(stats_response.kind, Response::Kind::kStats);
-    const ServerStats stats = ServerStats::from_fields(stats_response.stats);
+    const ServerStats& stats = stats_response.stats;
     EXPECT_EQ(stats.requests, 2U);
     EXPECT_EQ(stats.computed, 1U);
 

@@ -658,8 +658,8 @@ TEST(ModelStoreCrash, Kill9AfterNRepublishesRecoversGenerationN) {
 
     // The STATS surface reports the recovered generation.
     serve::RequestEngine engine(recovered, {.workers = 1});
-    const auto stats = serve::ServerStats::from_fields(
-        serve::make_stats_reply(engine.stats(), recovered.size()).stats);
+    const auto stats =
+        serve::make_stats_reply(engine.stats(), recovered.size()).stats;
     EXPECT_EQ(stats.recovered_generation,
               static_cast<std::uint64_t>(kGenerations));
     store.abandon();

@@ -314,8 +314,8 @@ int main(int argc, char** argv) {
 
         // The shutdown dump reads the same typed ServerStats surface a
         // remote client gets from ServeClient::stats().
-        const auto stats = serve::ServerStats::from_fields(
-            serve::make_stats_reply(engine.stats(), registry.size()).stats);
+        const serve::ServerStats stats =
+            serve::make_stats_reply(engine.stats(), registry.size()).stats;
         std::printf("served %zu connection(s), %llu request(s) "
                     "(%llu computed, %llu coalesced, %llu cache hit(s))\n",
                     server.connections_accepted(),

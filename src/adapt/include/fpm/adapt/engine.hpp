@@ -74,7 +74,8 @@ public:
     AdaptEngine& operator=(const AdaptEngine&) = delete;
 
     /// Ingests one sample synchronously (test/tool entry point; the
-    /// serve path goes through RequestEngine::submit_feedback_async).
+    /// serve path reaches it through handle_request() on the engine's
+    /// pool).
     serve::FeedbackReply ingest(const serve::FeedbackSample& sample);
 
     [[nodiscard]] AdaptStats stats() const;

@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -127,7 +128,10 @@ private:
     std::atomic<std::uint64_t> buckets_[kBuckets] = {};
     std::atomic<std::uint64_t> count_{0};
     std::atomic<double> sum_{0.0};
-    std::atomic<double> min_{0.0};  ///< valid only when count_ > 0
+    /// Extremes start at the identity of their CAS loop (values are
+    /// clamped to >= 0); snapshot() reports 0 for both when empty.
+    static constexpr double kEmptyMin = std::numeric_limits<double>::infinity();
+    std::atomic<double> min_{kEmptyMin};
     std::atomic<double> max_{0.0};
 };
 

@@ -1,5 +1,6 @@
 #include "fpm/obs/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace fpm::obs {
@@ -56,12 +57,9 @@ void Histogram::record(double value) noexcept {
     buckets_[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
     const double clean = std::isfinite(value) && value > 0.0 ? value : 0.0;
     atomic_add(sum_, clean);
-    if (count_.fetch_add(1, std::memory_order_relaxed) == 0) {
-        // First observation seeds min/max; a racing second observation
-        // still converges through the CAS loops below.
-        min_.store(clean, std::memory_order_relaxed);
-        max_.store(clean, std::memory_order_relaxed);
-    }
+    count_.fetch_add(1, std::memory_order_relaxed);
+    // CAS only, from +inf/0: a plain store seeding the first observation
+    // could overwrite an extreme a racing second observation published.
     atomic_min(min_, clean);
     atomic_max(max_, clean);
 }
@@ -79,8 +77,9 @@ HistogramSnapshot Histogram::snapshot() const {
     if (total == 0) {
         return snap;
     }
-    snap.min = min_.load(std::memory_order_relaxed);
     snap.max = max_.load(std::memory_order_relaxed);
+    // A racing record() may have bumped its bucket but not yet min_.
+    snap.min = std::min(min_.load(std::memory_order_relaxed), snap.max);
 
     const auto quantile = [&](double q) {
         const auto rank = static_cast<std::uint64_t>(
@@ -112,7 +111,7 @@ void Histogram::reset() noexcept {
     }
     count_.store(0, std::memory_order_relaxed);
     sum_.store(0.0, std::memory_order_relaxed);
-    min_.store(0.0, std::memory_order_relaxed);
+    min_.store(kEmptyMin, std::memory_order_relaxed);
     max_.store(0.0, std::memory_order_relaxed);
 }
 

@@ -34,6 +34,11 @@ enum class Algorithm { kFpm, kCpm, kEven };
 [[nodiscard]] std::optional<Algorithm>
 parse_algorithm(std::string_view text) noexcept;
 
+/// Largest matrix size n whose workload n * n (<= 2^53) is exact in a
+/// double: the partitioners share out n * n as a double, the integer
+/// rounding as an int64, and both must see the same total.
+inline constexpr std::int64_t kMaxN = 94906265;
+
 /// One partitioning problem: distribute an n x n block matrix over the
 /// devices described by `models`.
 struct PartitionRequest {
@@ -62,7 +67,7 @@ struct PartitionPlan {
 };
 
 /// Runs the full pipeline for `request`.  Throws fpm::Error for n <= 0,
-/// an empty model set or an infeasible workload.
+/// n > kMaxN, an empty model set or an infeasible workload.
 [[nodiscard]] PartitionPlan partition(const PartitionRequest& request);
 
 } // namespace fpm::part

@@ -37,6 +37,7 @@ std::optional<Algorithm> parse_algorithm(std::string_view text) noexcept {
 PartitionPlan partition(const PartitionRequest& request) {
     obs::Span span("part.partition", static_cast<std::uint64_t>(request.n));
     FPM_CHECK(request.n > 0, "workload size must be positive");
+    FPM_CHECK(request.n <= kMaxN, "workload size n*n must be exact in a double");
     FPM_CHECK(!request.models.empty(), "need at least one device");
     const auto& models = request.models;
     const double total =

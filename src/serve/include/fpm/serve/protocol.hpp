@@ -60,9 +60,11 @@ namespace fpm::serve {
 /// this).
 inline constexpr int kProtocolVersion = 6;
 
-/// A request message.  decode() parses a wire line (throws fpm::Error
-/// with a client-safe message on unknown verbs, arity errors or
-/// malformed numbers); encode() renders the line the client sends.
+/// A request message.  decode() parses a wire line and classifies its
+/// own failures: it throws ServiceError, kUnsupportedVerb for an unknown
+/// verb and kBadRequest for anything else malformed (arity, numbers,
+/// n outside [1, part::kMaxN]); encode() renders the line the client
+/// sends.
 struct Request {
     enum class Kind { kPing, kLoad, kPartition, kFeedback, kModels, kStats,
                       kHealth, kQuit };
@@ -249,8 +251,9 @@ struct ServerStats {
 };
 
 /// A response message: a tagged struct mirroring Request.  decode()
-/// never throws on `ERR` lines — they decode to kError — but throws
-/// fpm::Error on structurally malformed replies.
+/// never throws on `ERR` lines (`ERR` alone or followed by a space) —
+/// they decode to kError — but throws fpm::Error on structurally
+/// malformed replies.
 struct Response {
     enum class Kind { kError, kPong, kBye, kLoaded, kModels, kStats,
                       kHealth, kPartition, kFeedback };
@@ -294,10 +297,10 @@ make_partition_reply(const PartitionRequest& request,
 
 /// Executes one decoded request against the engine (and its registry)
 /// and returns the typed response; never throws — failures become
-/// kError.  PARTITION and FEEDBACK run synchronously on the calling
-/// thread; the reactor handles kPartition/kFeedback itself
-/// (asynchronously, off the event loop) and uses this for everything
-/// else.
+/// kError.  The one dispatch point for every verb: PARTITION and
+/// FEEDBACK run synchronously on the calling thread, so the reactor
+/// calls this on the engine pool for them (after its cache-hit fast
+/// path) and on its event loop for everything else.
 [[nodiscard]] Response handle_request(RequestEngine& engine,
                                       const Request& request);
 

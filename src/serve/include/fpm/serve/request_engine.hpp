@@ -10,9 +10,9 @@
 /// are *coalesced* (single-flight dedup): exactly one computation runs
 /// and every waiter shares its result — the micro-batching the service
 /// needs when a burst of clients asks for the same partition.  Per
-/// request the engine records wall-clock latency into a
-/// measure::RunningStats, surfaced through stats() and the STATS wire
-/// command.
+/// request the engine records wall-clock latency into a lock-free
+/// per-algorithm obs::Histogram, surfaced through stats() and the STATS
+/// wire command.
 ///
 /// When Options::degraded is on (the default) the engine keeps serving
 /// through disturbances instead of failing hard: a request whose model
@@ -38,7 +38,6 @@
 #include <optional>
 #include <vector>
 
-#include "fpm/measure/stats.hpp"
 #include "fpm/obs/metrics.hpp"
 #include "fpm/rt/thread_pool.hpp"
 #include "fpm/serve/error.hpp"
@@ -95,10 +94,10 @@ struct EngineStats {
     std::uint64_t computed = 0;   ///< full pipeline executions
     std::uint64_t coalesced = 0;  ///< requests served by single-flight dedup
     std::uint64_t degraded = 0;   ///< stale/fallback answers served
-    measure::Summary latency;     ///< per-request wall-clock seconds
     /// Per-algorithm request latency (seconds), indexed by
-    /// static_cast<std::size_t>(Algorithm) — p50/p95/p99 feed the STATS
-    /// wire reply.
+    /// static_cast<std::size_t>(Algorithm) — every request lands in
+    /// exactly one; the STATS reply derives its mean/max and the
+    /// per-algorithm p50/p95/p99 from them.
     std::array<obs::HistogramSnapshot, kAlgorithmCount> latency_by_algorithm{};
     CacheStats cache;
     /// Stripe count of the plan cache (a power of two, >= 1).
@@ -139,30 +138,16 @@ public:
     /// Schedules execute() on the engine's thread pool.
     std::future<PartitionResponse> submit(const PartitionRequest& request);
 
-    /// Outcome of an asynchronous execution: exactly one of response
-    /// (when `error` is empty) or `error` (a client-safe message, with
-    /// `code` its wire classification) is meaningful.
-    struct AsyncResult {
-        PartitionResponse response;
-        std::string error;
-        ErrorCode code = ErrorCode::kInternal;  ///< meaningful iff !ok()
-        [[nodiscard]] bool ok() const noexcept { return error.empty(); }
-    };
-
-    /// Schedules execute() on the pool and invokes `done` with the
-    /// outcome from the worker thread — failures arrive as
-    /// AsyncResult::error instead of a thrown exception, so callers that
-    /// cannot rethrow across threads (the serve reactor's event loop)
-    /// get a complete result either way.  `done` must be callable after
-    /// the caller has gone away if the caller can be destroyed before
-    /// the engine drains (capture shared state by shared_ptr).
-    void submit_async(const PartitionRequest& request,
-                      std::function<void(AsyncResult)> done);
+    /// Runs `task` on the engine's thread pool — where the serve reactor
+    /// sends the requests it must not answer on its event loop.  `task`
+    /// must not throw, and must stay safe to run after its submitter has
+    /// gone away (capture shared state by shared_ptr).
+    void post(std::function<void()> task);
 
     /// Cache-hit fast path: answers from the plan cache without touching
     /// the thread pool, or returns nullopt when the request would need a
     /// compute (cache miss, unknown model set, invalid n) — callers fall
-    /// back to submit_async() and the pool reports any error.  Counts
+    /// back to execute() on the pool, which reports any error.  Counts
     /// exactly like execute()'s hit path, so STATS cannot tell the two
     /// apart.  The serve reactor probes this before paying the
     /// worker-thread round trip.
@@ -198,22 +183,6 @@ public:
     /// fpm::Error when feedback is not enabled or the handler rejects
     /// the sample.
     FeedbackReply execute_feedback(const FeedbackSample& sample);
-
-    /// Outcome of an asynchronous feedback execution, mirroring
-    /// AsyncResult: exactly one of `reply` or `error` is meaningful.
-    struct FeedbackAsyncResult {
-        FeedbackReply reply;
-        std::string error;
-        ErrorCode code = ErrorCode::kInternal;  ///< meaningful iff !ok()
-        [[nodiscard]] bool ok() const noexcept { return error.empty(); }
-    };
-
-    /// Schedules execute_feedback() on the engine's thread pool — the
-    /// off-hot-path routing the reactor uses, so ingest/refine/publish
-    /// work never runs on the event loop.  Same lifetime rules as
-    /// submit_async().
-    void submit_feedback_async(const FeedbackSample& sample,
-                               std::function<void(FeedbackAsyncResult)> done);
 
     /// Invalidates every cached answer derived from the previous content
     /// of model set `name`: plan-cache entries keyed on
@@ -264,7 +233,6 @@ private:
     Options options_;
     PartitionCache cache_;
     PartitionCache stale_;  ///< name-keyed last-known-good plans
-    rt::ThreadPool pool_;
 
     /// Shared so an in-flight pool task keeps the handler alive across a
     /// concurrent set_feedback_handler(); never touched by the partition
@@ -276,15 +244,18 @@ private:
     std::mutex inflight_mutex_;
     std::map<PlanKey, std::shared_ptr<InFlight>> inflight_;
 
-    mutable std::mutex stats_mutex_;
-    std::uint64_t requests_ = 0;
-    std::uint64_t computed_ = 0;
-    std::uint64_t coalesced_ = 0;
-    std::uint64_t degraded_ = 0;
-    measure::RunningStats latency_;
-    /// Lock-free per-algorithm latency; indexed like
+    /// Lock-free, so a cache hit takes no engine lock at all.
+    obs::Counter requests_;
+    obs::Counter computed_;
+    obs::Counter coalesced_;
+    obs::Counter degraded_;
+    /// Per-algorithm latency; indexed like
     /// EngineStats::latency_by_algorithm.
     std::array<obs::Histogram, kAlgorithmCount> latency_histograms_;
+
+    /// Last member, so it is destroyed first: its destructor drains the
+    /// queued tasks while every member they touch is still alive.
+    rt::ThreadPool pool_;
 };
 
 } // namespace fpm::serve

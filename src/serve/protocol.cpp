@@ -1,5 +1,6 @@
 #include "fpm/serve/protocol.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -381,7 +382,7 @@ std::string Request::encode() const {
     throw Error("unencodable request");
 }
 
-Request Request::decode(const std::string& line) {
+Request Request::decode(const std::string& line) try {
     const auto tokens = tokenize(line);
     FPM_CHECK(!tokens.empty(), "empty request");
     const std::string& verb = tokens[0];
@@ -414,6 +415,12 @@ Request Request::decode(const std::string& line) {
         request.partition.model_set = tokens[1];
         request.partition.n = parse_int(tokens[2], "workload size");
         FPM_CHECK(request.partition.n > 0, "workload size must be positive");
+        if (request.partition.n > part::kMaxN) {
+            throw ServiceError(ErrorCode::kBadRequest,
+                               "workload size " + tokens[2] + " exceeds " +
+                                   std::to_string(part::kMaxN) +
+                                   " (n*n must be exact in a double)");
+        }
         const auto algorithm = part::parse_algorithm(tokens[3]);
         FPM_CHECK(algorithm.has_value(), "unknown algorithm: " + tokens[3]);
         request.partition.algorithm = *algorithm;
@@ -444,6 +451,11 @@ Request Request::decode(const std::string& line) {
                            "unknown command: " + verb);
     }
     return request;
+} catch (const ServiceError&) {
+    throw;
+} catch (const std::exception& e) {
+    // Every other decode failure is the client's malformed line.
+    throw ServiceError(ErrorCode::kBadRequest, e.what());
 }
 
 // ---------------------------------------------------------------------------
@@ -558,8 +570,11 @@ std::string Response::encode() const {
 }
 
 Response Response::decode(const std::string& line) {
+    if (line == "ERR") {
+        return make_error(ErrorCode::kInternal, {});  // token text, never empty
+    }
     Response response;
-    if (line.rfind("ERR", 0) == 0) {
+    if (line.starts_with("ERR ")) {
         response.kind = Kind::kError;
         const std::string body =
             line.size() > 4 ? line.substr(4) : std::string{};
@@ -759,13 +774,19 @@ Response make_stats_reply(const EngineStats& stats, std::size_t model_count) {
     s.models = model_count;
     s.degraded = stats.degraded;
     s.faults = fault::injected_total();
-    s.mean_latency_us = stats.latency.mean * 1e6;
-    s.max_latency_us = stats.latency.max * 1e6;
+    // Every request lands in exactly one per-algorithm histogram, whose
+    // count, sum and max are exact.
+    std::uint64_t count = 0;
+    double sum = 0.0;
     for (std::size_t i = 0; i < kAlgorithmCount; ++i) {
         const auto& histogram = stats.latency_by_algorithm[i];
         s.by_algorithm[i] = {histogram.count, histogram.p50 * 1e6,
                              histogram.p95 * 1e6, histogram.p99 * 1e6};
+        count += histogram.count;
+        sum += histogram.sum;
+        s.max_latency_us = std::max(s.max_latency_us, histogram.max * 1e6);
     }
+    s.mean_latency_us = count == 0 ? 0.0 : sum / static_cast<double>(count) * 1e6;
 
     // Reactor lifecycle: process-global, so STATS works identically over
     // the wire and in-process (all-zero until a server has run).
@@ -898,19 +919,19 @@ Response handle_request(RequestEngine& engine, const Request& request) {
     } catch (const std::exception& e) {
         // Anything untyped from the engine is a server-side fault.
         return Response::make_error(ErrorCode::kInternal, e.what());
+    } catch (...) {
+        return Response::make_error(ErrorCode::kInternal, {});
     }
 }
 
 std::string handle_line(RequestEngine& engine, const std::string& line) {
+    Request request;
     try {
-        return handle_request(engine, Request::decode(line)).encode();
+        request = Request::decode(line);
     } catch (const ServiceError& e) {
         return Response::make_error(e.code(), e.what()).encode();
-    } catch (const std::exception& e) {
-        // Only Request::decode throws here, so the client sent a line
-        // this revision cannot parse.
-        return Response::make_error(ErrorCode::kBadRequest, e.what()).encode();
     }
+    return handle_request(engine, request).encode();
 }
 
 std::uint64_t request_fingerprint(const Request& request) {

@@ -81,10 +81,6 @@ PartitionResponse RequestEngine::finish(double latency, Algorithm algorithm,
                                         std::shared_ptr<const PartitionPlan> plan,
                                         bool cache_hit, bool coalesced,
                                         bool degraded) {
-    {
-        std::lock_guard lock(stats_mutex_);
-        latency_.add(latency);
-    }
     latency_histograms_[static_cast<std::size_t>(algorithm)].record(latency);
     return PartitionResponse{std::move(plan), cache_hit, coalesced, degraded,
                              latency};
@@ -122,10 +118,7 @@ RequestEngine::degrade(const PartitionRequest& request, const ModelSet* set,
     if (!plan) {
         return std::nullopt;
     }
-    {
-        std::lock_guard lock(stats_mutex_);
-        ++degraded_;
-    }
+    degraded_.add();
     ServeMetrics::get().degraded.add();
     return finish(elapsed_seconds, request.algorithm, std::move(plan), false,
                   false, true);
@@ -136,10 +129,7 @@ PartitionResponse RequestEngine::execute(const PartitionRequest& request) {
     const ServeMetrics& metrics = ServeMetrics::get();
     metrics.requests.add();
     measure::WallTimer timer;
-    {
-        std::lock_guard lock(stats_mutex_);
-        ++requests_;
-    }
+    requests_.add();
     FPM_CHECK(request.n > 0, "workload size must be positive");
     const auto set = registry_.find(request.model_set);
     if (!set) {
@@ -201,10 +191,7 @@ PartitionResponse RequestEngine::execute(const PartitionRequest& request) {
             }
             throw;
         }
-        {
-            std::lock_guard lock(stats_mutex_);
-            ++coalesced_;
-        }
+        coalesced_.add();
         metrics.coalesced.add();
         return finish(timer.elapsed(), request.algorithm, std::move(plan),
                       false, true);
@@ -224,10 +211,7 @@ PartitionResponse RequestEngine::execute(const PartitionRequest& request) {
             stale_.put(stale_key(request), plan);
         }
         flight->promise.set_value(plan);
-        {
-            std::lock_guard lock(stats_mutex_);
-            ++computed_;
-        }
+        computed_.add();
         metrics.computed.add();
         return finish(timer.elapsed(), request.algorithm, std::move(plan),
                       false, false);
@@ -274,36 +258,13 @@ RequestEngine::try_execute_cached(const PartitionRequest& request) {
     const ServeMetrics& metrics = ServeMetrics::get();
     metrics.requests.add();
     metrics.cache_hits.add();
-    {
-        std::lock_guard lock(stats_mutex_);
-        ++requests_;
-    }
+    requests_.add();
     return finish(timer.elapsed(), request.algorithm, std::move(plan), true,
                   false);
 }
 
-void RequestEngine::submit_async(const PartitionRequest& request,
-                                 std::function<void(AsyncResult)> done) {
-    (void)pool_.submit([this, request, done = std::move(done)]() {
-        AsyncResult result;
-        try {
-            result.response = execute(request);
-        } catch (const ServiceError& e) {
-            result.error = e.what();
-            result.code = e.code();
-            if (result.error.empty()) {
-                result.error = "partition failed";
-            }
-        } catch (const std::exception& e) {
-            result.error = e.what();
-            if (result.error.empty()) {
-                result.error = "partition failed";
-            }
-        } catch (...) {
-            result.error = "partition failed";
-        }
-        done(std::move(result));
-    });
+void RequestEngine::post(std::function<void()> task) {
+    (void)pool_.submit(std::move(task));
 }
 
 void RequestEngine::set_feedback_handler(FeedbackHandler handler) {
@@ -337,31 +298,6 @@ FeedbackReply RequestEngine::execute_feedback(const FeedbackSample& sample) {
     return (*handler)(sample);
 }
 
-void RequestEngine::submit_feedback_async(
-    const FeedbackSample& sample,
-    std::function<void(FeedbackAsyncResult)> done) {
-    (void)pool_.submit([this, sample, done = std::move(done)]() {
-        FeedbackAsyncResult result;
-        try {
-            result.reply = execute_feedback(sample);
-        } catch (const ServiceError& e) {
-            result.error = e.what();
-            result.code = e.code();
-            if (result.error.empty()) {
-                result.error = "feedback failed";
-            }
-        } catch (const std::exception& e) {
-            result.error = e.what();
-            if (result.error.empty()) {
-                result.error = "feedback failed";
-            }
-        } catch (...) {
-            result.error = "feedback failed";
-        }
-        done(std::move(result));
-    });
-}
-
 void RequestEngine::invalidate_model(const std::string& name,
                                      std::uint64_t old_fingerprint) {
     cache_.erase_fingerprint(old_fingerprint);
@@ -374,14 +310,10 @@ void RequestEngine::invalidate_model(const std::string& name,
 
 EngineStats RequestEngine::stats() const {
     EngineStats stats;
-    {
-        std::lock_guard lock(stats_mutex_);
-        stats.requests = requests_;
-        stats.computed = computed_;
-        stats.coalesced = coalesced_;
-        stats.degraded = degraded_;
-        stats.latency = latency_.summary();
-    }
+    stats.requests = requests_.value();
+    stats.computed = computed_.value();
+    stats.coalesced = coalesced_.value();
+    stats.degraded = degraded_.value();
     for (std::size_t i = 0; i < kAlgorithmCount; ++i) {
         stats.latency_by_algorithm[i] = latency_histograms_[i].snapshot();
     }

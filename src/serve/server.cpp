@@ -341,8 +341,11 @@ struct SocketServer::Reactor {
     }
 
     /// Enqueues one request line into the connection's pipeline and
-    /// either answers it inline (cheap commands, parse errors) or hands
-    /// it to the engine pool (PARTITION).
+    /// decides only where it runs: handle_request() builds every reply.
+    /// Cache hits and the cheap verbs answer inline; PARTITION misses and
+    /// FEEDBACK go to the engine pool, whose completion returns to this
+    /// loop through the eventfd mailbox and fills the pipeline slot,
+    /// keeping replies in request order.
     void handle_line_on(Connection& conn, const std::string& line) {
         const std::uint64_t seq = conn.next_seq++;
         if (!conn.pipeline.empty()) {
@@ -359,12 +362,6 @@ struct SocketServer::Reactor {
         } catch (const ServiceError& e) {
             slot.ready = true;
             slot.text = Response::make_error(e.code(), e.what()).encode();
-            return;
-        } catch (const std::exception& e) {
-            // Decode failures are the client's malformed line.
-            slot.ready = true;
-            slot.text =
-                Response::make_error(ErrorCode::kBadRequest, e.what()).encode();
             return;
         }
         if (request.kind == Request::Kind::kPartition) {
@@ -385,50 +382,17 @@ struct SocketServer::Reactor {
                     return;
                 }
             }
-            // Compute goes to the engine's pool; the completion returns
-            // to this loop through the eventfd mailbox and fills the
-            // pipeline slot, keeping responses in request order.
-            engine.submit_async(
-                request.partition,
-                [queue = completions, conn_id = conn.id, seq,
-                 partition = request.partition](
-                    RequestEngine::AsyncResult result) {
-                    std::string text;
-                    if (result.ok()) {
-                        Response response;
-                        response.kind = Response::Kind::kPartition;
-                        response.partition =
-                            make_partition_reply(partition, result.response);
-                        text = response.encode();
-                    } else {
-                        text = Response::make_error(result.code, result.error)
-                                   .encode();
-                    }
-                    queue->push(Completion{conn_id, seq, std::move(text)});
-                });
-            return;
         }
-        if (request.kind == Request::Kind::kFeedback) {
-            // Feedback never runs on the event loop: ingest/refine/
-            // publish goes to the engine pool exactly like a partition
-            // compute, so a burst of reports cannot stall PARTITION
-            // replies (the off-hot-path requirement of fpm::adapt).
-            engine.submit_feedback_async(
-                request.feedback,
-                [queue = completions, conn_id = conn.id,
-                 seq](RequestEngine::FeedbackAsyncResult result) {
-                    std::string text;
-                    if (result.ok()) {
-                        Response response;
-                        response.kind = Response::Kind::kFeedback;
-                        response.feedback = std::move(result.reply);
-                        text = response.encode();
-                    } else {
-                        text = Response::make_error(result.code, result.error)
-                                   .encode();
-                    }
-                    queue->push(Completion{conn_id, seq, std::move(text)});
-                });
+        // Feedback never runs on the event loop either: a burst of
+        // ingest/refine/publish work cannot stall PARTITION replies (the
+        // off-hot-path requirement of fpm::adapt).
+        if (request.kind == Request::Kind::kPartition ||
+            request.kind == Request::Kind::kFeedback) {
+            engine.post([&engine = engine, queue = completions,
+                         conn_id = conn.id, seq, request = std::move(request)]() {
+                queue->push(Completion{
+                    conn_id, seq, handle_request(engine, request).encode()});
+            });
             return;
         }
         if (request.kind == Request::Kind::kQuit) {

@@ -240,6 +240,37 @@ TEST(ObsStress, SixteenThreadMetricsHammer) {
     EXPECT_LE(snapshot.p99, snapshot.max);
 }
 
+// The first observations of a fresh histogram race each other: every
+// extreme published by one thread must survive the others, so min/max
+// equal the true extremes in every round.  The threads move through the
+// rounds in lockstep (a spin barrier), so they collide on each fresh
+// histogram.
+TEST(ObsStress, FirstObservationsKeepTheTrueExtremes) {
+    constexpr std::size_t kThreads = 16;
+    constexpr std::size_t kRounds = 1000;
+    std::vector<Histogram> histograms(kRounds);
+    std::atomic<std::size_t> arrived{0};
+    fpm::test::run_concurrently(kThreads, [&](std::size_t t) {
+        for (std::size_t r = 0; r < kRounds; ++r) {
+            arrived.fetch_add(1);
+            while (arrived.load() < (r + 1) * kThreads) {
+                std::this_thread::yield();
+            }
+            histograms[r].record(1e-3 * static_cast<double>(t + 1));
+        }
+    });
+
+    for (std::size_t r = 0; r < kRounds; ++r) {
+        const auto snapshot = histograms[r].snapshot();
+        ASSERT_EQ(snapshot.count, kThreads) << r;
+        EXPECT_EQ(snapshot.min, 1e-3) << r;
+        EXPECT_EQ(snapshot.max, 1e-3 * static_cast<double>(kThreads)) << r;
+    }
+    const HistogramSnapshot empty = Histogram{}.snapshot();
+    EXPECT_EQ(empty.min, 0.0);
+    EXPECT_EQ(empty.max, 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Tracing
 // ---------------------------------------------------------------------------

@@ -163,6 +163,48 @@ TEST(ProtocolRequest, RejectsMalformedLines) {
     }
 }
 
+TEST(ProtocolRequest, EveryMalformedLineIsATypedBadRequest) {
+    // Decode classifies its own failures, so no caller needs a second
+    // catch: an unknown verb is unsupported_verb, anything else malformed
+    // is bad_request.
+    const std::vector<std::pair<std::string, ErrorCode>> cases = {
+        {"", ErrorCode::kBadRequest},
+        {"PING extra", ErrorCode::kBadRequest},
+        {"LOAD onlyname", ErrorCode::kBadRequest},
+        {"PARTITION set abc fpm", ErrorCode::kBadRequest},
+        {"PARTITION set 0 fpm", ErrorCode::kBadRequest},
+        {"PARTITION set 10 wat", ErrorCode::kBadRequest},
+        {"PARTITION set 99999999999999999999 fpm", ErrorCode::kBadRequest},
+        {"FEEDBACK set 0 100 nan-ish", ErrorCode::kBadRequest},
+        {"BOGUS", ErrorCode::kUnsupportedVerb},
+    };
+    for (const auto& [line, code] : cases) {
+        try {
+            (void)Request::decode(line);
+            ADD_FAILURE() << "accepted: " << line;
+        } catch (const ServiceError& e) {
+            EXPECT_EQ(e.code(), code) << line;
+            EXPECT_STRNE(e.what(), "") << line;
+        }
+    }
+}
+
+TEST(ProtocolRequest, WorkloadSizeMustSquareExactlyInADouble) {
+    // 94906265^2 <= 2^53 < 94906266^2: the largest n whose n*n every
+    // layer (double shares, int64 rounding) sees as the same total.
+    EXPECT_EQ(Request::decode("PARTITION node 94906265 even").partition.n,
+              94906265);
+    for (const char* n : {"94906266", "3037000499", "3037000500"}) {
+        const std::string line = std::string("PARTITION node ") + n + " even";
+        try {
+            (void)Request::decode(line);
+            ADD_FAILURE() << "accepted: " << line;
+        } catch (const ServiceError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::kBadRequest) << line;
+        }
+    }
+}
+
 TEST(ProtocolRequest, FeedbackDoublesRoundTripBitForBit) {
     Request request;
     request.kind = Request::Kind::kFeedback;
@@ -493,10 +535,22 @@ TEST(ProtocolFuzz, WrongArityRepliesAreErrors) {
         "degraded=0 balanced=1 makespan=1 comm=1 blocks=1 layout=-",
         "OK HEALTH live=1 ready=1 models=-2",
         "OK STATS requests=-1",
+        // `ERR` is a word of its own, not a prefix of the first one.
+        "ERRATA nope",
+        "ERRbusy",
     };
     for (const std::string& line : bad) {
         EXPECT_FALSE(response_decodes(line)) << "accepted: " << line;
     }
+}
+
+TEST(ProtocolFuzz, BareErrCarriesItsTokenText) {
+    // The never-empty message contract of make_error, from the wire.
+    const Response bare = Response::decode("ERR");
+    EXPECT_EQ(bare.kind, Response::Kind::kError);
+    EXPECT_EQ(bare.error_code, ErrorCode::kInternal);
+    EXPECT_EQ(bare.error, "internal");
+    EXPECT_EQ(bare.encode(), "ERR internal");
 }
 
 // ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@
 #include "fpm/fault/fault.hpp"
 #include "fpm/measure/timer.hpp"
 #include "fpm/obs/trace.hpp"
+#include "fpm/part/request.hpp"
 #include "fpm/serve/client.hpp"
 #include "fpm/serve/model_registry.hpp"
 #include "fpm/serve/partition_cache.hpp"
@@ -352,6 +353,36 @@ TEST(Protocol, HandleLineBasics) {
     EXPECT_THROW(parse_partition_reply("OK PONG"), fpm::Error);
 }
 
+TEST(Protocol, HandleLineBoundsTheWorkloadSize) {
+    ModelRegistry registry;
+    registry.put("tiny", synthetic_models(2, 8, 1.0));
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
+
+    // n*n past 2^53 used to overflow int64 (or round in the double
+    // shares) and answer `ERR internal`; it is the client's mistake.
+    for (const char* n : {"94906266", "3037000499", "3037000500"}) {
+        const std::string reply = handle_line(
+            engine, std::string("PARTITION tiny ") + n + " even");
+        EXPECT_EQ(reply.rfind("ERR bad_request ", 0), 0U) << reply;
+    }
+    const PartitionReply largest = parse_partition_reply(
+        handle_line(engine, "PARTITION tiny 94906265 even"));
+    std::int64_t total = 0;
+    for (const std::int64_t blocks : largest.blocks) {
+        total += blocks;
+    }
+    EXPECT_EQ(total, std::int64_t{94906265} * 94906265);
+
+    // The library checks the same bound before it squares n.
+    const auto models = synthetic_models(2, 8, 1.0);
+    for (const std::int64_t n : {part::kMaxN + 1, std::int64_t{3037000500}}) {
+        EXPECT_THROW(
+            (void)part::partition({models, n, Algorithm::kEven, false}),
+            fpm::Error)
+            << n;
+    }
+}
+
 TEST(RequestEngineTest, MatchesDirectLibraryCallBitForBit) {
     ModelRegistry registry;
     const auto set = registry.put("hybrid", synthetic_models(4, 24, 1.0));
@@ -459,7 +490,11 @@ TEST(RequestEngineTest, SingleFlightCoalescesIdenticalRequests) {
     // computation, every other request a cache hit or a coalesced waiter.
     EXPECT_EQ(stats.computed, 1U);
     EXPECT_EQ(stats.coalesced + stats.cache.hits, kClients - 1);
-    EXPECT_EQ(stats.latency.count, kClients);
+    std::uint64_t latency_count = 0;  // every request lands in one histogram
+    for (const auto& histogram : stats.latency_by_algorithm) {
+        latency_count += histogram.count;
+    }
+    EXPECT_EQ(latency_count, kClients);
     // Per-algorithm latency histogram saw every request (all were fpm).
     EXPECT_EQ(stats.latency_by_algorithm[static_cast<std::size_t>(
                   Algorithm::kFpm)].count,

@@ -9,7 +9,8 @@
 // bit-for-bit identical at every reactor count, the max_connections
 // budget must stay global, drain must complete on every reactor, and
 // the STATS aggregation invariant (per-shard cache counters summing to
-// the global ones) must hold.
+// the global ones) must hold.  Every reply over the wire, errors and
+// degraded answers included, must equal handle_line() on a twin engine.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -20,11 +21,15 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "fpm/core/model_io.hpp"
+#include "fpm/fault/fault.hpp"
 #include "fpm/measure/timer.hpp"
 #include "fpm/serve/client.hpp"
 #include "fpm/serve/model_registry.hpp"
@@ -534,6 +539,156 @@ TEST(ServeReactorPool, StatsAggregationSumsShardsToGlobalCounters) {
     EXPECT_EQ(stats.misses, engine_stats.cache.misses);
     EXPECT_EQ(stats.cache_size, engine_stats.cache.size);
     EXPECT_TRUE(stats.extras.empty()) << stats.extras.begin()->first;
+
+    server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// One dispatch path: every reply the reactor sends — inline verbs, cache
+// hits, pool-computed PARTITION misses, FEEDBACK, and every error class
+// the pool path can produce — equals handle_line() on a twin engine fed
+// the same lines.  Only cached=/coalesced= may differ (they depend on
+// timing), and STATS/HEALTH carry live counters, so those two compare by
+// field names.
+// ---------------------------------------------------------------------------
+
+/// `line` with the timing-dependent parts blanked out.
+std::string normalise_reply(const std::string& line) {
+    const bool counters =
+        line.rfind("OK STATS", 0) == 0 || line.rfind("OK HEALTH", 0) == 0;
+    const bool partition = line.rfind("OK PARTITION ", 0) == 0;
+    std::istringstream tokens(line);
+    std::string token;
+    std::string out;
+    while (tokens >> token) {
+        const auto eq = token.find('=');
+        const std::string key = token.substr(0, eq);
+        if (eq != std::string::npos &&
+            (counters || (partition && (key == "cached" || key == "coalesced")))) {
+            token = key + "=*";
+        }
+        out += out.empty() ? token : ' ' + token;
+    }
+    return out;
+}
+
+/// One side of the comparison: a registry and an engine, both set up by
+/// the same calls, so a LOAD in the batch lands at the same generation on
+/// either side.
+struct ParitySide {
+    ModelRegistry registry;
+    RequestEngine engine{registry, {.workers = 2, .cache_capacity = 64}};
+
+    ParitySide() {
+        registry.put("alpha", synthetic_models(4, 64, 1.0));
+        registry.put("beta", synthetic_models(3, 64, 1.7));
+        engine.set_feedback_handler([this](const FeedbackSample& sample) {
+            if (sample.model_set == "boom") {
+                throw std::runtime_error("handler exploded");
+            }
+            const auto set = registry.get(sample.model_set);
+            if (sample.device >= static_cast<std::int64_t>(set->models.size())) {
+                throw ServiceError(ErrorCode::kBadRequest,
+                                   "device out of range");
+            }
+            return FeedbackReply{sample.model_set, sample.device, 1, false,
+                                 false, false, set->generation};
+        });
+    }
+};
+
+TEST(ServeReactor, EveryReplyMatchesHandleLineOnATwinEngine) {
+    const std::string gamma_csv = "/tmp/fpmpart_reactor_parity_gamma.csv";
+    const std::string gamma2_csv = "/tmp/fpmpart_reactor_parity_gamma2.csv";
+    core::save_speed_functions_csv(gamma_csv, synthetic_models(2, 32, 1.0));
+    core::save_speed_functions_csv(gamma2_csv, synthetic_models(2, 32, 2.5));
+
+    ParitySide wire;
+    ParitySide twin;
+    SocketServer server(wire.engine);
+    server.start();
+
+    std::size_t compared = 0;
+    const auto check_batch = [&](std::vector<std::string> lines) {
+        lines.push_back("QUIT");
+        ServeClient client("127.0.0.1", server.port());
+        const auto replies = client.pipeline(lines);
+        ASSERT_EQ(replies.size(), lines.size());
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+            EXPECT_EQ(normalise_reply(replies[i]),
+                      normalise_reply(handle_line(twin.engine, lines[i])))
+                << lines[i];
+            ++compared;
+        }
+        EXPECT_EQ(replies.back(), "OK BYE");
+    };
+
+    // Every verb, writable, with a feedback handler; the pool answers
+    // misses, FEEDBACK and their failures.
+    check_batch({
+        "PING",
+        "MODELS",
+        "HEALTH",
+        "STATS",
+        "LOAD gamma " + gamma_csv,
+        "MODELS",
+        partition_line("alpha", 40, Algorithm::kFpm),
+        partition_line("alpha", 40, Algorithm::kFpm),  // hit or coalesced
+        "PARTITION beta 36 cpm nolayout",
+        partition_line("gamma", 30, Algorithm::kEven),
+        partition_line("alpha", 94906265, Algorithm::kEven),  // infeasible
+        "FEEDBACK alpha 1 900 0.01",
+        "FEEDBACK alpha 9 900 0.01",  // handler: bad_request
+        "FEEDBACK boom 0 900 0.01",   // handler: untyped -> internal
+        "LOAD delta /nonexistent/fpmpart_parity.csv",
+        // Malformed lines, unknown verb, bad n, unknown set.
+        "PARTITION alpha",
+        "PARTITION alpha 0 fpm",
+        "PARTITION alpha 94906266 fpm",
+        "PARTITION alpha 3037000500 even",
+        "PARTITION alpha 40 wat",
+        "FEEDBACK alpha -1 900 0.01",
+        "LOAD",
+        "BOGUS",
+        partition_line("nosuch", 40, Algorithm::kFpm),
+        "STATS",
+    });
+
+    // A replica: both write verbs answer read_only, reads still work.
+    wire.engine.set_read_only(true);
+    twin.engine.set_read_only(true);
+    check_batch({
+        "FEEDBACK alpha 1 900 0.01",
+        "LOAD gamma " + gamma2_csv,
+        partition_line("alpha", 40, Algorithm::kFpm),
+        partition_line("beta", 44, Algorithm::kCpm),
+    });
+    wire.engine.set_read_only(false);
+    twin.engine.set_read_only(false);
+
+    // FEEDBACK with no handler installed.
+    wire.engine.set_feedback_handler({});
+    twin.engine.set_feedback_handler({});
+    check_batch({"FEEDBACK alpha 1 900 0.01", "HEALTH"});
+
+    // Every compute fails: misses answer degraded, from the stale plan of
+    // the same name (gamma reloaded with new content) or an even split.
+    struct FaultGuard {
+        ~FaultGuard() { fault::uninstall(); }
+    } guard;
+    fault::install(fault::FaultPlan::parse("seed=3,serve.compute=1"));
+    check_batch({
+        "LOAD gamma " + gamma2_csv,
+        partition_line("gamma", 30, Algorithm::kEven),  // stale plan
+        partition_line("alpha", 52, Algorithm::kFpm),   // even fallback
+        partition_line("alpha", 52, Algorithm::kFpm),
+        partition_line("alpha", 40, Algorithm::kFpm),   // still cached
+        partition_line("nosuch", 40, Algorithm::kFpm),
+        "HEALTH",
+    });
+    EXPECT_GE(wire.engine.stats().degraded, 3U);
+    EXPECT_EQ(wire.engine.stats().degraded, twin.engine.stats().degraded);
+    EXPECT_EQ(compared, 42U);
 
     server.stop();
 }

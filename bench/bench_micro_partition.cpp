@@ -76,7 +76,7 @@ void BM_ColumnLayout(benchmark::State& state) {
         benchmark::DoNotOptimize(layout.rects.data());
     }
 }
-BENCHMARK(BM_ColumnLayout)->Arg(2)->Arg(6)->Arg(24);
+BENCHMARK(BM_ColumnLayout)->Arg(2)->Arg(6)->Arg(24)->Arg(96);
 
 void BM_MonotoneEnvelope(benchmark::State& state) {
     const auto models = synthetic_devices(1);

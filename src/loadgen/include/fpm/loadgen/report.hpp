@@ -6,12 +6,9 @@
 /// Report: achieved request rate, latency quantiles up to p99.9, error /
 /// degraded / drop counts and the per-verb breakdown.  to_json() renders
 /// the BENCH_loadgen.json document (schema `fpmpart-loadgen-v1`,
-/// documented field-by-field in docs/benchmarking.md) and from_json()
-/// parses it back *exactly* — doubles travel as %.17g (17 significant
-/// digits: not the shortest form, but bit-for-bit round-trip safe), so
-/// a Report is closed under the round trip and the perf gate can compare
-/// a fresh run against a checked-in baseline without tolerance being
-/// eaten by formatting.
+/// documented field-by-field in docs/benchmarking.md); doubles travel as
+/// %.17g (17 significant digits: not the shortest form, but bit-for-bit
+/// round-trip safe), so any JSON reader recovers the exact values.
 ///
 /// Drop accounting: `scheduled` counts every arrival of the open-loop
 /// schedule, `sent` the ones actually dispatched, `dropped` the ones
@@ -91,11 +88,6 @@ struct Report {
 
     /// The BENCH_loadgen.json document (schema fpmpart-loadgen-v1).
     [[nodiscard]] std::string to_json() const;
-
-    /// Exact inverse of to_json().  Throws fpm::Error on malformed JSON,
-    /// a wrong `schema` tag or a missing known field; unknown fields are
-    /// ignored (forward compatibility).
-    [[nodiscard]] static Report from_json(const std::string& text);
 
     bool operator==(const Report&) const = default;
 };

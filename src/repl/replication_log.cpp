@@ -10,6 +10,7 @@
 #include <filesystem>
 
 #include "fpm/common/error.hpp"
+#include "fpm/serve/transport.hpp"
 #include "fpm/store/wal.hpp"
 
 namespace fpm::repl {
@@ -18,19 +19,12 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::size_t kFrameHeaderBytes = 8;
-
-std::uint32_t load_u32le(const unsigned char* p) noexcept {
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
-}
+using serve::kFrameHeaderBytes;
 
 enum class ReadFrame {
     kOk,    ///< one intact frame read
     kEnd,   ///< offset is exactly the limit: clean end of data
-    kTorn,  ///< short header/payload or CRC mismatch before the limit
+    kTorn,  ///< short header/payload, over-long length or CRC mismatch
 };
 
 /// Reads the frame at `offset` of `path`, never looking past `limit`
@@ -74,25 +68,29 @@ ReadFrame read_frame_at(const std::string& path, std::uint64_t offset,
         return true;
     };
 
-    unsigned char header[kFrameHeaderBytes];
-    if (!read_exact(offset, header, sizeof header)) {
+    // Read the header, learn the announced length from decode_frame(),
+    // then read the payload behind it and decode the whole frame.
+    payload.resize(kFrameHeaderBytes);
+    if (!read_exact(offset, payload.data(), kFrameHeaderBytes)) {
         return ReadFrame::kTorn;
     }
-    const std::uint32_t length = load_u32le(header);
-    const std::uint32_t expected_crc = load_u32le(header + 4);
-    const std::uint64_t frame_size = kFrameHeaderBytes + length;
-    if (offset + frame_size > limit) {
+    store::DecodedFrame frame = store::decode_frame(payload);
+    if (frame.status == store::FrameStatus::kTooLong ||
+        offset + frame.size > limit) {
         return ReadFrame::kTorn;
     }
-    payload.resize(length);
-    if (length > 0 &&
-        !read_exact(offset + kFrameHeaderBytes, payload.data(), length)) {
+    payload.resize(frame.size);
+    if (!read_exact(offset + kFrameHeaderBytes,
+                    payload.data() + kFrameHeaderBytes,
+                    frame.size - kFrameHeaderBytes)) {
         return ReadFrame::kTorn;
     }
-    if (store::crc32(payload.data(), payload.size()) != expected_crc) {
+    frame = store::decode_frame(payload);
+    if (frame.status != store::FrameStatus::kOk) {
         return ReadFrame::kTorn;
     }
-    consumed = frame_size;
+    consumed = frame.size;
+    payload.erase(0, kFrameHeaderBytes);
     return ReadFrame::kOk;
 }
 

@@ -38,13 +38,6 @@ struct ReplicaMetrics {
     }
 };
 
-std::uint32_t load_u32le(const unsigned char* p) noexcept {
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
-}
-
 /// "key=value" extraction from a REPL control line; throws on absence.
 std::string line_field(const std::string& line, const std::string& key) {
     const std::string needle = key + "=";
@@ -230,19 +223,18 @@ void Replicator::apply_frame(const std::string& frame,
                              const std::string& origin) {
     // The frame is a store WAL frame: validate it with the recovery
     // framing rules before trusting the payload.
-    FPM_CHECK(frame.size() >= serve::kFrameHeaderBytes,
+    const store::DecodedFrame decoded = store::decode_frame(frame);
+    FPM_CHECK(decoded.status != store::FrameStatus::kShortHeader,
               origin + ": short replication frame");
-    const auto* header =
-        reinterpret_cast<const unsigned char*>(frame.data());
-    const std::uint32_t length = load_u32le(header);
-    const std::uint32_t expected_crc = load_u32le(header + 4);
-    FPM_CHECK(frame.size() == serve::kFrameHeaderBytes + length,
+    FPM_CHECK(decoded.status != store::FrameStatus::kTooLong,
+              origin + ": replication frame over the length cap");
+    FPM_CHECK(decoded.size == frame.size(),
               origin + ": replication frame length mismatch");
-    const std::string payload = frame.substr(serve::kFrameHeaderBytes);
-    FPM_CHECK(store::crc32(payload.data(), payload.size()) == expected_crc,
+    FPM_CHECK(decoded.status == store::FrameStatus::kOk,
               origin + ": replication frame CRC mismatch");
 
-    apply_record(store::decode_publish_record(payload, origin));
+    apply_record(
+        store::decode_publish_record(std::string(decoded.payload), origin));
 }
 
 void Replicator::apply_record(const store::PublishRecord& record) {

@@ -239,10 +239,9 @@ RequestEngine::try_execute_cached(const PartitionRequest& request) {
         return std::nullopt;  // execute() owns the error report
     }
     measure::WallTimer timer;
-    std::shared_ptr<const ModelSet> set;
-    try {
-        set = registry_.get(request.model_set);
-    } catch (...) {
+    const std::shared_ptr<const ModelSet> set =
+        registry_.find(request.model_set);
+    if (!set) {
         return std::nullopt;  // unknown set: same
     }
     const PlanKey key{set->fingerprint, request.n, request.algorithm,

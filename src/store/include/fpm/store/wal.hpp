@@ -95,6 +95,29 @@ private:
 /// writer and the tests' corruption harness.
 [[nodiscard]] std::string encode_frame(std::string_view payload);
 
+/// What decode_frame() found at the front of a buffer.
+enum class FrameStatus {
+    kOk,            ///< one intact frame
+    kShortHeader,   ///< fewer bytes than a frame header
+    kTooLong,       ///< announced length over serve::kMaxFrameBytes
+    kShortPayload,  ///< fewer bytes than the announced payload
+    kBadCrc,        ///< payload does not match the header's CRC-32
+};
+
+struct DecodedFrame {
+    FrameStatus status = FrameStatus::kShortHeader;
+    /// Header plus announced payload, in bytes; 0 without a header.
+    std::uint64_t size = 0;
+    /// The payload, a view into the decoded bytes; set for kOk only.
+    std::string_view payload;
+};
+
+/// Decodes the frame at the front of `bytes` (later bytes are ignored).
+/// The inverse of encode_frame() and the one place that parses a frame
+/// header, applies the length cap and checks the CRC: WAL replay, the
+/// primary's replication log and the replica all call it.
+[[nodiscard]] DecodedFrame decode_frame(std::string_view bytes) noexcept;
+
 /// fsync()s a directory so a just-created or just-renamed entry is
 /// durable.  Best-effort: ignores file systems that reject dir fsync.
 void fsync_dir(const std::string& dir);

@@ -85,6 +85,28 @@ std::string encode_frame(std::string_view payload) {
     return frame;
 }
 
+DecodedFrame decode_frame(std::string_view bytes) noexcept {
+    DecodedFrame frame;
+    if (bytes.size() < kFrameHeaderBytes) {
+        return frame;  // kShortHeader
+    }
+    const auto* header = reinterpret_cast<const unsigned char*>(bytes.data());
+    const std::uint32_t length = get_u32_le(header);
+    frame.size = kFrameHeaderBytes + std::uint64_t{length};
+    if (length > kMaxFrameBytes) {
+        frame.status = FrameStatus::kTooLong;
+    } else if (bytes.size() < frame.size) {
+        frame.status = FrameStatus::kShortPayload;
+    } else if (crc32(bytes.data() + kFrameHeaderBytes, length) !=
+               get_u32_le(header + 4)) {
+        frame.status = FrameStatus::kBadCrc;
+    } else {
+        frame.status = FrameStatus::kOk;
+        frame.payload = bytes.substr(kFrameHeaderBytes, length);
+    }
+    return frame;
+}
+
 ReplayResult replay_wal(const std::string& path, bool repair) {
     const int fd = ::open(path.c_str(), repair ? O_RDWR : O_RDONLY, 0);
     FPM_CHECK(fd >= 0, "cannot open log: " + path + ": " +
@@ -108,22 +130,17 @@ ReplayResult replay_wal(const std::string& path, bool repair) {
             contents.append(chunk, static_cast<std::size_t>(n));
         }
 
+        // A torn or garbage header, a short payload or a corrupt record
+        // ends the replay: everything from there on is the tail.
         std::size_t offset = 0;
-        const auto* bytes =
-            reinterpret_cast<const unsigned char*>(contents.data());
-        while (contents.size() - offset >= kFrameHeaderBytes) {
-            const std::uint32_t length = get_u32_le(bytes + offset);
-            const std::uint32_t expected_crc = get_u32_le(bytes + offset + 4);
-            if (length > kMaxFrameBytes ||
-                contents.size() - offset - kFrameHeaderBytes < length) {
-                break;  // torn or garbage header: tail starts here
+        for (;;) {
+            const DecodedFrame frame =
+                decode_frame(std::string_view(contents).substr(offset));
+            if (frame.status != FrameStatus::kOk) {
+                break;
             }
-            const char* payload = contents.data() + offset + kFrameHeaderBytes;
-            if (crc32(payload, length) != expected_crc) {
-                break;  // corrupt record: everything from here is suspect
-            }
-            result.payloads.emplace_back(payload, length);
-            offset += kFrameHeaderBytes + length;
+            result.payloads.emplace_back(frame.payload);
+            offset += frame.size;
         }
         result.truncated_bytes = contents.size() - offset;
         if (result.truncated_bytes > 0 && repair) {

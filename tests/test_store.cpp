@@ -152,6 +152,42 @@ TEST(Wal, FramesAreLengthCrcPayload) {
     EXPECT_EQ(frame.substr(8), "abc");
 }
 
+TEST(Wal, DecodeFrameClassifiesEveryFrameShape) {
+    const std::string frame = encode_frame("abc");
+    std::string over_cap = frame;
+    over_cap[3] = '\x7f';  // announced length 0x7f000003 > kMaxFrameBytes
+    std::string bad_crc = frame;
+    bad_crc.back() = 'd';
+    const struct {
+        const char* what;
+        std::string bytes;
+        FrameStatus status;
+        std::uint64_t size;
+    } cases[] = {
+        {"exact frame", frame, FrameStatus::kOk, 11},
+        {"frame then more bytes", frame + "junk", FrameStatus::kOk, 11},
+        {"empty payload", encode_frame(""), FrameStatus::kOk, 8},
+        {"short header", frame.substr(0, 7), FrameStatus::kShortHeader, 0},
+        {"length over the cap", over_cap, FrameStatus::kTooLong,
+         8 + 0x7f000003ull},
+        {"short payload", frame.substr(0, 10), FrameStatus::kShortPayload,
+         11},
+        {"CRC mismatch", bad_crc, FrameStatus::kBadCrc, 11},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.what);
+        const DecodedFrame decoded = decode_frame(c.bytes);
+        EXPECT_EQ(decoded.status, c.status);
+        EXPECT_EQ(decoded.size, c.size);
+        if (c.status == FrameStatus::kOk) {
+            EXPECT_EQ(decoded.payload,
+                      c.bytes.substr(8, c.size - 8));
+        } else {
+            EXPECT_TRUE(decoded.payload.empty());
+        }
+    }
+}
+
 TEST(Wal, AppendReplayRoundTrip) {
     TempDir dir;
     const std::string path = dir.path + "/wal-000001.log";

@@ -1,21 +1,21 @@
 /// \file replication_server.hpp
-/// \brief Primary-side replication listener: WAL shipping over TCP.
+/// \brief Primary-side replication listener: publish-record shipping over
+///        TCP.
 ///
 /// Speaks the v6 REPL verbs (docs/protocol.md) on a dedicated port:
 ///
-///     replica:  REPL HELLO <seg>:<off>\n
-///     primary:  OK REPL STREAM pos=<seg>:<off>\n            -- resume
-///           or  OK REPL SNAP sets=<k> next=<g> pos=<s>:<o>\n -- fallback
-///               k × (REPL SNAP bytes=<m>\n + m frame bytes)
+///     replica:  REPL HELLO gen=<applied>\n
+///     primary:  OK REPL committed=<gen>\n
 ///     then an unbounded push stream of
-///               REPL FRAME bytes=<m> pos=<s>:<o>\n + m frame bytes
+///               REPL FRAME bytes=<m>\n + m frame bytes
 ///     interleaved, when idle, with
-///               REPL PING committed=<gen> pos=<s>:<o>\n
+///               REPL PING committed=<gen>\n
 ///
-/// Frame bytes are store WAL frames (length+CRC32 header + publish
-/// record payload), so the replica validates the stream with the same
-/// code recovery uses.  `pos=` on a FRAME is the position *after* the
-/// frame — exactly what the replica sends back in its next HELLO.
+/// The frames are the latest publish record of every set newer than the
+/// follower's `gen=`, in ascending generation order, then every later
+/// commit as it lands (ReplicationLog).  Frame bytes are store WAL
+/// frames (length+CRC32 header + publish record payload), so the
+/// replica validates the stream with the same code recovery uses.
 ///
 /// Threading: a dedicated acceptor thread plus one thread per follower
 /// session, deliberately *not* the serve reactor pool.  The reactor is
@@ -27,12 +27,12 @@
 /// of replicas.  Thread-per-follower keeps the hot serve path and the
 /// replication path fully independent.  Each session is a
 /// serve::LineConn; a `REPL HELLO` longer than 4 KiB ends that session
-/// and no other.
+/// and no other, and a malformed one is answered `ERR` and ends it.
 ///
 /// Fault points: `repl.handshake` (drop the connection instead of
 /// answering HELLO) and `repl.send` (drop it instead of shipping a
 /// frame) — both simulate a primary crash mid-protocol; the replica's
-/// reconnect + position resume must make either invisible.
+/// reconnect with its applied generation must make either invisible.
 #pragma once
 
 #include <atomic>
@@ -84,12 +84,9 @@ public:
     /// Follower sessions currently connected.
     [[nodiscard]] std::size_t sessions() const;
 
-    /// Lifetime counters.
+    /// Publish records shipped, over the server's lifetime.
     [[nodiscard]] std::uint64_t frames_sent() const noexcept {
         return frames_sent_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t snapshots_sent() const noexcept {
-        return snapshots_sent_.load(std::memory_order_relaxed);
     }
 
 private:
@@ -118,7 +115,6 @@ private:
     std::vector<std::unique_ptr<Session>> sessions_;
 
     std::atomic<std::uint64_t> frames_sent_{0};
-    std::atomic<std::uint64_t> snapshots_sent_{0};
 };
 
 } // namespace fpm::repl

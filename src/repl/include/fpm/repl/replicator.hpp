@@ -3,37 +3,36 @@
 ///
 /// The Replicator owns one background thread that keeps a replica's
 /// registry converged with its primary: it connects to the primary's
-/// replication port, sends `REPL HELLO <pos>` with the last position
-/// the stream handed it (0:0 on a fresh start — positions are primary
-/// WAL coordinates and are not persisted locally), applies whatever the
-/// primary answers (a full snapshot transfer or a resumed stream) and
-/// then tails FRAME/PING records until stopped or disconnected.
+/// replication port, sends `REPL HELLO gen=<g>` with the highest
+/// generation it has applied (on start, the one its own store
+/// recovered; 0 when fresh), and then applies the FRAME records the
+/// primary pushes — first every set newer than `g`, then every commit
+/// as it lands — until stopped or disconnected (ReplicationLog states
+/// why `g` alone is a complete position).
 ///
 /// Applying a record goes through the same machinery a primary publish
 /// does, so everything downstream behaves identically on both roles:
 ///
 ///  * when the record's generation is exactly the registry's next one
-///    (the steady-state streaming case — frames arrive in generation
-///    order), ModelRegistry::put() installs it, reproducing the
-///    primary's generation bit-for-bit and firing the local store's
-///    write-ahead observer, so the replica's own WAL logs the record;
-///  * otherwise (snapshot records carry non-contiguous generations;
-///    overlap after a reconnect) ModelRegistry::restore() installs the
-///    explicit generation and the record is appended to the local store
-///    directly;
+///    (the steady-state streaming case), ModelRegistry::put() installs
+///    it, reproducing the primary's generation bit-for-bit and firing
+///    the local store's write-ahead observer, so the replica's own WAL
+///    logs the record;
+///  * otherwise (catch-up records skip the superseded generations)
+///    ModelRegistry::restore() installs the explicit generation and the
+///    record is appended to the local store directly;
 ///  * either way the engine's plan cache is invalidated under the old
 ///    fingerprint, exactly as ModelPublisher does on the primary —
 ///    cached plans for the superseded generation can never be served;
-///  * records at or below the last applied generation are dropped
-///    (reconnect overlap is idempotent).
+///  * records at or below the last applied generation are dropped.
 ///
 /// After every applied record the installed generation and fingerprint
 /// are checked against the ones the primary recorded; a mismatch (or an
-/// armed `repl.apply` fault) severs the connection, and the bounded
-/// exponential backoff (ServeConfig::backoff_base/backoff_max — the
-/// same knobs the serve client retries with) paces the reconnect.  The
-/// connection attempt itself uses ServeConfig::connect_timeout and
-/// recv_timeout; a primary that stays silent past recv_timeout (it
+/// armed `repl.apply` fault) severs the connection, and a bounded
+/// exponential backoff (ReplicatorConfig::backoff_base/backoff_max)
+/// paces the reconnect.  A completed handshake resets the backoff, so a
+/// primary that accepts and then drops the stream is retried at the
+/// base delay.  A primary that stays silent past recv_timeout (it
 /// heartbeats every heartbeat_interval when idle) counts as dead.  The
 /// stream is a serve::LineConn, so a control line longer than
 /// kMaxRequestLine, or a `bytes=` header announcing more than one WAL
@@ -51,8 +50,6 @@
 #include <string>
 #include <thread>
 
-#include "fpm/repl/replication_log.hpp"
-#include "fpm/serve/client.hpp"
 #include "fpm/serve/request_engine.hpp"
 #include "fpm/serve/transport.hpp"
 #include "fpm/store/model_store.hpp"
@@ -61,10 +58,11 @@ namespace fpm::repl {
 
 /// Replica-side knobs.
 struct ReplicatorConfig {
-    serve::Endpoint source;      ///< the primary's replication endpoint
-    /// Transport + backoff knobs: connect_timeout, recv_timeout,
-    /// backoff_base, backoff_max are consumed; the rest is ignored.
-    serve::ServeConfig transport;
+    serve::Endpoint source;        ///< the primary's replication endpoint
+    double connect_timeout = 5.0;  ///< non-blocking connect + poll
+    double recv_timeout = 5.0;     ///< per send/recv on the stream
+    double backoff_base = 0.02;    ///< first reconnect delay, seconds
+    double backoff_max = 0.5;      ///< cap of the doubling reconnect delay
 };
 
 /// See file comment.
@@ -95,17 +93,13 @@ public:
     [[nodiscard]] std::uint64_t applied_generation() const noexcept {
         return applied_generation_.load(std::memory_order_relaxed);
     }
-    /// FRAME records applied (snapshot records included).
+    /// FRAME records applied.
     [[nodiscard]] std::uint64_t frames_applied() const noexcept {
         return frames_applied_.load(std::memory_order_relaxed);
     }
     /// Reconnect attempts after a connect/stream/apply failure.
     [[nodiscard]] std::uint64_t reconnects() const noexcept {
         return reconnects_.load(std::memory_order_relaxed);
-    }
-    /// Full snapshot transfers received.
-    [[nodiscard]] std::uint64_t snapshots_received() const noexcept {
-        return snapshots_received_.load(std::memory_order_relaxed);
     }
     /// True while a stream is established (handshake done, not torn).
     [[nodiscard]] bool connected() const noexcept {
@@ -115,7 +109,8 @@ public:
 private:
     void run();
     void run_once();
-    void apply_frame(const std::string& frame, const std::string& origin);
+    void apply_frame(const std::string& frame);
+    void record_contact(std::uint64_t committed);
     void apply_record(const store::PublishRecord& record);
     void backoff(int consecutive_failures);
 
@@ -129,11 +124,9 @@ private:
     std::condition_variable stop_cv_;
     serve::LineConn* conn_ = nullptr;  ///< live stream, for stop() to sever
 
-    ReplPosition position_;  ///< replication-thread only
     std::atomic<std::uint64_t> applied_generation_{0};
     std::atomic<std::uint64_t> frames_applied_{0};
     std::atomic<std::uint64_t> reconnects_{0};
-    std::atomic<std::uint64_t> snapshots_received_{0};
     std::atomic<bool> connected_{false};
     bool started_ = false;
 };

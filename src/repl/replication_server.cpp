@@ -10,6 +10,7 @@
 #include "fpm/fault/fault.hpp"
 #include "fpm/obs/metrics.hpp"
 #include "fpm/store/wal.hpp"
+#include "repl_fields.hpp"
 
 namespace fpm::repl {
 
@@ -18,7 +19,6 @@ namespace {
 /// Process-global replication-server counters.
 struct ServerMetrics {
     obs::Counter& frames_sent;
-    obs::Counter& snapshots_sent;
     obs::Counter& heartbeats_sent;
     obs::Gauge& sessions;
 
@@ -26,14 +26,13 @@ struct ServerMetrics {
         static auto& registry = obs::MetricsRegistry::global();
         static const ServerMetrics metrics{
             registry.counter("repl.frames_sent"),
-            registry.counter("repl.snapshots_sent"),
             registry.counter("repl.heartbeats_sent"),
             registry.gauge("repl.sessions")};
         return metrics;
     }
 };
 
-/// Bound on the one line a follower sends (`REPL HELLO <seg>:<off>`);
+/// Bound on the one line a follower sends (`REPL HELLO gen=<g>`);
 /// no REPL line is remotely this long.
 constexpr std::size_t kMaxHandshakeLine = 4096;
 
@@ -158,69 +157,41 @@ void ReplicationServer::serve_follower(serve::LineConn& conn) {
     if (handshake_fault.fire()) {
         return;  // primary "crashes" before answering
     }
-    static const std::string kHello = "REPL HELLO ";
-    if (hello.rfind(kHello, 0) != 0) {
+    std::uint64_t after = 0;
+    try {
+        FPM_CHECK(hello.rfind("REPL HELLO ", 0) == 0, "not a REPL HELLO");
+        after = parse_u64_field(hello, "gen");
+    } catch (const Error&) {
         conn.send_all("ERR internal malformed REPL handshake\n");
         return;
     }
-    ReplPosition pos;
-    try {
-        pos = ReplPosition::parse(hello.substr(kHello.size()));
-    } catch (const Error&) {
-        conn.send_all("ERR internal malformed REPL position\n");
-        return;
-    }
-
     store::ModelStore& store = log_.store();
-    if (!log_.position_available(pos)) {
-        // Fresh follower (0:0) or one standing in a GC'd segment: ship
-        // the full compacted state, then stream from the position the
-        // snapshot was taken at.
-        const store::ReplSnapshot snap = store.replication_snapshot();
-        pos = ReplPosition{snap.segment, snap.offset};
-        conn.send_all("OK REPL SNAP sets=" +
-                      std::to_string(snap.payloads.size()) +
-                      " next=" + std::to_string(snap.next_generation) +
-                      " pos=" + pos.to_string() + "\n");
-        for (const std::string& payload : snap.payloads) {
-            const std::string frame = store::encode_frame(payload);
-            conn.send_all("REPL SNAP bytes=" + std::to_string(frame.size()) +
-                          "\n");
-            conn.send_all(frame);
-        }
-        snapshots_sent_.fetch_add(1, std::memory_order_relaxed);
-        ServerMetrics::get().snapshots_sent.add(1);
-    } else {
-        conn.send_all("OK REPL STREAM pos=" + pos.to_string() + "\n");
-    }
+    conn.send_all("OK REPL committed=" +
+                  std::to_string(store.committed_generation()) + "\n");
 
     // -- push stream --------------------------------------------------
     static auto& send_fault = fault::point("repl.send");
-    std::string payload;
+    std::vector<std::string> payloads;
     while (!stopped_.load(std::memory_order_relaxed)) {
-        switch (log_.next(pos, payload, config_.heartbeat_interval)) {
-        case ReplicationLog::Next::kFrame: {
-            if (send_fault.fire()) {
-                return;  // "crash" mid-ship
+        switch (log_.next(after, payloads, config_.heartbeat_interval)) {
+        case ReplicationLog::Next::kRecords:
+            for (const std::string& payload : payloads) {
+                if (send_fault.fire()) {
+                    return;  // "crash" mid-ship
+                }
+                const std::string frame = store::encode_frame(payload);
+                conn.send_all("REPL FRAME bytes=" +
+                              std::to_string(frame.size()) + "\n");
+                conn.send_all(frame);
+                frames_sent_.fetch_add(1, std::memory_order_relaxed);
+                ServerMetrics::get().frames_sent.add(1);
             }
-            const std::string frame = store::encode_frame(payload);
-            conn.send_all("REPL FRAME bytes=" + std::to_string(frame.size()) +
-                          " pos=" + pos.to_string() + "\n");
-            conn.send_all(frame);
-            frames_sent_.fetch_add(1, std::memory_order_relaxed);
-            ServerMetrics::get().frames_sent.add(1);
             break;
-        }
         case ReplicationLog::Next::kTimeout:
             conn.send_all("REPL PING committed=" +
-                          std::to_string(store.committed_generation()) +
-                          " pos=" + pos.to_string() + "\n");
+                          std::to_string(store.committed_generation()) + "\n");
             ServerMetrics::get().heartbeats_sent.add(1);
             break;
-        case ReplicationLog::Next::kGap:
-            // The position fell behind a GC: sever so the follower
-            // reconnects and handshakes into the snapshot path.
-            return;
         case ReplicationLog::Next::kStopped:
             return;
         }

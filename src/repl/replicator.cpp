@@ -1,9 +1,7 @@
 #include "fpm/repl/replicator.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 
 #include "fpm/common/error.hpp"
 #include "fpm/fault/fault.hpp"
@@ -11,6 +9,7 @@
 #include "fpm/serve/repl_status.hpp"
 #include "fpm/serve/transport.hpp"
 #include "fpm/store/wal.hpp"
+#include "repl_fields.hpp"
 
 namespace fpm::repl {
 
@@ -19,7 +18,6 @@ namespace {
 /// Process-global replica-side instruments.
 struct ReplicaMetrics {
     obs::Counter& frames_applied;
-    obs::Counter& snapshots_received;
     obs::Counter& reconnects;
     obs::Counter& heartbeats;
     obs::Gauge& lag_frames;
@@ -29,7 +27,6 @@ struct ReplicaMetrics {
         static auto& registry = obs::MetricsRegistry::global();
         static const ReplicaMetrics metrics{
             registry.counter("repl.frames_applied"),
-            registry.counter("repl.snapshots_received"),
             registry.counter("repl.reconnects"),
             registry.counter("repl.heartbeats"),
             registry.gauge("repl.lag_frames"),
@@ -38,29 +35,6 @@ struct ReplicaMetrics {
     }
 };
 
-/// "key=value" extraction from a REPL control line; throws on absence.
-std::string line_field(const std::string& line, const std::string& key) {
-    const std::string needle = key + "=";
-    std::size_t at = line.find(needle);
-    FPM_CHECK(at != std::string::npos,
-              "REPL line missing " + key + "=: " + line);
-    at += needle.size();
-    const std::size_t end = line.find(' ', at);
-    return line.substr(at, end == std::string::npos ? std::string::npos
-                                                    : end - at);
-}
-
-std::uint64_t parse_u64_field(const std::string& line,
-                              const std::string& key) {
-    const std::string text = line_field(line, key);
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-    FPM_CHECK(end != text.c_str() && *end == '\0' && errno == 0,
-              "malformed " + key + "= in REPL line: " + line);
-    return static_cast<std::uint64_t>(value);
-}
-
 } // namespace
 
 Replicator::Replicator(serve::RequestEngine& engine,
@@ -68,8 +42,8 @@ Replicator::Replicator(serve::RequestEngine& engine,
                        ReplicatorConfig config)
     : engine_(engine), local_store_(local_store),
       config_(std::move(config)) {
-    // Everything already recovered locally counts as applied: reconnect
-    // overlap and snapshot records at or below this are dropped.
+    // Everything already recovered locally counts as applied: the first
+    // HELLO asks only for what is newer.
     applied_generation_.store(engine_.registry().next_generation() - 1,
                               std::memory_order_relaxed);
 }
@@ -108,14 +82,14 @@ void Replicator::stop() {
 }
 
 void Replicator::backoff(int consecutive_failures) {
-    double delay = config_.transport.backoff_base;
+    double delay = config_.backoff_base;
     for (int i = 1; i < consecutive_failures; ++i) {
         delay *= 2.0;
-        if (delay >= config_.transport.backoff_max) {
+        if (delay >= config_.backoff_max) {
             break;
         }
     }
-    delay = std::min(delay, config_.transport.backoff_max);
+    delay = std::min(delay, config_.backoff_max);
     if (delay <= 0.0) {
         return;
     }
@@ -130,12 +104,15 @@ void Replicator::run() {
     while (!stop_.load(std::memory_order_relaxed)) {
         try {
             run_once();
-            failures = 0;
         } catch (const std::exception&) {
             // Connect refusal, stream loss, apply failure, injected
             // repl.* fault: all reconverge through reconnect + resume.
         }
-        connected_.store(false, std::memory_order_relaxed);
+        // A completed handshake proves the primary reachable: the next
+        // attempt starts again from the base delay.
+        if (connected_.exchange(false, std::memory_order_relaxed)) {
+            failures = 0;
+        }
         if (stop_.load(std::memory_order_relaxed)) {
             break;
         }
@@ -146,8 +123,8 @@ void Replicator::run() {
 }
 
 void Replicator::run_once() {
-    serve::LineConn conn(config_.source, config_.transport.connect_timeout,
-                         config_.transport.recv_timeout);
+    serve::LineConn conn(config_.source, config_.connect_timeout,
+                         config_.recv_timeout);
     {
         std::lock_guard lock(stop_mutex_);
         if (stop_.load(std::memory_order_relaxed)) {
@@ -164,54 +141,23 @@ void Replicator::run_once() {
         }
     } unpublish{*this};
 
-    conn.send_all("REPL HELLO " + position_.to_string() + "\n");
+    conn.send_all("REPL HELLO gen=" +
+                  std::to_string(
+                      applied_generation_.load(std::memory_order_relaxed)) +
+                  "\n");
     const std::string greeting = conn.read_line();
-
-    if (greeting.rfind("OK REPL SNAP ", 0) == 0) {
-        const std::uint64_t sets = parse_u64_field(greeting, "sets");
-        position_ = ReplPosition::parse(line_field(greeting, "pos"));
-        for (std::uint64_t i = 0; i < sets; ++i) {
-            const std::string header = conn.read_line();
-            FPM_CHECK(header.rfind("REPL SNAP ", 0) == 0,
-                      "unexpected snapshot record: " + header);
-            const std::uint64_t bytes = parse_u64_field(header, "bytes");
-            apply_frame(conn.read_exact(bytes), "repl snapshot");
-        }
-        snapshots_received_.fetch_add(1, std::memory_order_relaxed);
-        ReplicaMetrics::get().snapshots_received.add(1);
-    } else if (greeting.rfind("OK REPL STREAM ", 0) == 0) {
-        position_ = ReplPosition::parse(line_field(greeting, "pos"));
-    } else {
-        throw Error("unexpected REPL handshake reply: " + greeting);
-    }
-
+    FPM_CHECK(greeting.rfind("OK REPL ", 0) == 0,
+              "unexpected REPL handshake reply: " + greeting);
+    record_contact(parse_u64_field(greeting, "committed"));
     connected_.store(true, std::memory_order_relaxed);
-    serve::ReplStatus::global().record_contact(
-        applied_generation_.load(std::memory_order_relaxed),
-        applied_generation_.load(std::memory_order_relaxed));
 
     while (!stop_.load(std::memory_order_relaxed)) {
         const std::string line = conn.read_line();
         if (line.rfind("REPL FRAME ", 0) == 0) {
-            const std::uint64_t bytes = parse_u64_field(line, "bytes");
-            const ReplPosition after =
-                ReplPosition::parse(line_field(line, "pos"));
-            apply_frame(conn.read_exact(bytes), "repl stream");
-            position_ = after;
-            const std::uint64_t applied =
-                applied_generation_.load(std::memory_order_relaxed);
-            serve::ReplStatus::global().record_contact(applied, applied);
-            ReplicaMetrics::get().lag_frames.set(0);
+            apply_frame(conn.read_exact(parse_u64_field(line, "bytes")));
+            record_contact(applied_generation_.load(std::memory_order_relaxed));
         } else if (line.rfind("REPL PING ", 0) == 0) {
-            const std::uint64_t committed =
-                parse_u64_field(line, "committed");
-            const std::uint64_t applied =
-                applied_generation_.load(std::memory_order_relaxed);
-            serve::ReplStatus::global().record_contact(committed, applied);
-            ReplicaMetrics::get().lag_frames.set(
-                committed > applied
-                    ? static_cast<std::int64_t>(committed - applied)
-                    : 0);
+            record_contact(parse_u64_field(line, "committed"));
             ReplicaMetrics::get().heartbeats.add(1);
         } else {
             throw Error("unexpected REPL stream line: " + line);
@@ -219,28 +165,36 @@ void Replicator::run_once() {
     }
 }
 
-void Replicator::apply_frame(const std::string& frame,
-                             const std::string& origin) {
+void Replicator::record_contact(std::uint64_t committed) {
+    const std::uint64_t applied =
+        applied_generation_.load(std::memory_order_relaxed);
+    serve::ReplStatus::global().record_contact(committed, applied);
+    ReplicaMetrics::get().lag_frames.set(
+        committed > applied ? static_cast<std::int64_t>(committed - applied)
+                            : 0);
+}
+
+void Replicator::apply_frame(const std::string& frame) {
     // The frame is a store WAL frame: validate it with the recovery
     // framing rules before trusting the payload.
     const store::DecodedFrame decoded = store::decode_frame(frame);
     FPM_CHECK(decoded.status != store::FrameStatus::kShortHeader,
-              origin + ": short replication frame");
+              "short replication frame");
     FPM_CHECK(decoded.status != store::FrameStatus::kTooLong,
-              origin + ": replication frame over the length cap");
+              "replication frame over the length cap");
     FPM_CHECK(decoded.size == frame.size(),
-              origin + ": replication frame length mismatch");
+              "replication frame length mismatch");
     FPM_CHECK(decoded.status == store::FrameStatus::kOk,
-              origin + ": replication frame CRC mismatch");
+              "replication frame CRC mismatch");
 
-    apply_record(
-        store::decode_publish_record(std::string(decoded.payload), origin));
+    apply_record(store::decode_publish_record(std::string(decoded.payload),
+                                              "repl stream"));
 }
 
 void Replicator::apply_record(const store::PublishRecord& record) {
     if (record.generation <=
         applied_generation_.load(std::memory_order_relaxed)) {
-        return;  // reconnect/snapshot overlap: already applied
+        return;  // already applied
     }
 
     static auto& apply_fault = fault::point("repl.apply");
@@ -260,9 +214,9 @@ void Replicator::apply_record(const store::PublishRecord& record) {
         // fires the local store's write-ahead observer.
         installed = registry.put(record.name, record.models);
     } else {
-        // Snapshot records and post-reconnect overlap carry explicit,
-        // possibly non-contiguous generations: restore() installs them
-        // verbatim (no observer), so the local store is fed directly.
+        // Catch-up records skip superseded generations: restore()
+        // installs the explicit generation verbatim (no observer), so the
+        // local store is fed directly.
         installed =
             registry.restore(record.name, record.models, record.generation);
         if (local_store_ != nullptr) {

@@ -43,7 +43,7 @@
 namespace fpm::serve {
 
 /// Wire protocol revision.  v6 adds replication: the REPL verbs spoken
-/// on the replication listener (HELLO handshake, framed FRAME/SNAP
+/// on the replication listener (HELLO handshake, framed FRAME
 /// records, PING heartbeats — see docs/replication.md), the
 /// `read_only` ERR token replicas answer to write verbs, and the
 /// replication fields (role, repl_lag_frames, repl_lag_seconds,

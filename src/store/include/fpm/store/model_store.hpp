@@ -43,7 +43,7 @@
 /// store.recovered_generation gauge — all surfaced in the STATS wire
 /// reply and documented in docs/operations.md.
 ///
-/// Snapshots and replication transfers are written from the store's own
+/// Snapshots and replication streams are written from the store's own
 /// mirror of the live content: one publish record (name, generation,
 /// fingerprint, models) per set.  The mirror never holds a
 /// serve::ModelSet, so what a set builds for serving — its FPM envelopes —
@@ -61,7 +61,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "fpm/serve/model_registry.hpp"
@@ -125,15 +124,15 @@ struct StoreStats {
     std::uint64_t segment = 0;    ///< active WAL segment id
 };
 
-/// A consistent copy of the store's published content, taken under the
-/// store mutex for replication snapshot transfer: the encoded publish
-/// record of every live set plus the WAL position a stream resuming
-/// after this snapshot starts from.
-struct ReplSnapshot {
-    std::vector<std::string> payloads;     ///< publish records, by generation
-    std::uint64_t next_generation = 1;     ///< registry counter to resume at
-    std::uint64_t segment = 0;             ///< active WAL segment id
-    std::uint64_t offset = 0;              ///< committed bytes in that segment
+/// What a replication follower lacks, copied out of the store's mirror
+/// by ModelStore::records_after().
+struct ReplRecords {
+    /// Encoded publish records, one per set, in ascending generation.
+    std::vector<std::string> payloads;
+    /// The committed generation when the copy was taken: every set whose
+    /// latest generation lies above the asked-for one and at or below
+    /// this is in `payloads`.
+    std::uint64_t committed = 0;
 };
 
 /// See file comment.
@@ -195,38 +194,20 @@ public:
 
     // -- replication hooks (consumed by fpm::repl) ---------------------
 
-    /// The file name of WAL segment `id` (`wal-NNNNNN.log`).
-    [[nodiscard]] static std::string segment_file_name(std::uint64_t id);
-
-    /// Absolute path of WAL segment `id` inside this store.
-    [[nodiscard]] std::string segment_path(std::uint64_t id) const {
-        return dir_ + "/" + segment_file_name(id);
-    }
-
-    /// The committed WAL position: (active segment id, committed bytes).
-    /// Readers tailing the active segment must clamp to this offset —
-    /// bytes past it may be a torn frame from an injected append fault.
-    [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> wal_position() const;
-
     /// Highest generation the store has committed (0 when empty).
     [[nodiscard]] std::uint64_t committed_generation() const;
 
-    /// Consistent snapshot of the published content for replication
-    /// transfer (see ReplSnapshot).
-    [[nodiscard]] ReplSnapshot replication_snapshot() const;
-
-    /// The seal point of the segment retired by the most recent WAL
-    /// rotation: (segment id, final committed bytes), or (0, 0) before
-    /// any rotation.  A follower standing exactly here has missed
-    /// nothing and resumes at the next segment; any other position in a
-    /// GC'd segment needs the snapshot fallback.
-    [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> last_seal() const;
+    /// The latest publish record of every set whose generation is above
+    /// `generation`, in ascending generation order (see ReplRecords).
+    /// The records are copied under the store mutex and encoded outside
+    /// it.
+    [[nodiscard]] ReplRecords records_after(std::uint64_t generation) const;
 
     /// Installs (or clears, with an empty function) a hook invoked —
     /// outside the store mutex, on the appending thread — after every
-    /// committed append and after every snapshot rotation.  The
-    /// ReplicationLog uses it to wake tailing sessions; the hook must be
-    /// cheap and must not call back into the store.
+    /// committed append.  The ReplicationLog uses it to wake tailing
+    /// sessions; the hook must be cheap and must not call back into the
+    /// store.
     void set_commit_hook(std::function<void()> hook);
 
 private:
@@ -252,8 +233,6 @@ private:
     std::uint64_t segment_id_ = 0;
     std::uint64_t appends_since_snapshot_ = 0;
     std::uint64_t last_snapshot_generation_ = 0;
-    std::uint64_t last_seal_segment_ = 0;
-    std::uint64_t last_seal_offset_ = 0;
     bool stopped_ = false;
     RecoveryReport recovery_;
     StoreStats stats_;

@@ -405,12 +405,9 @@ void ModelStore::append(const serve::ModelSet& set) {
 }
 
 void ModelStore::snapshot() {
-    {
-        std::lock_guard lock(mutex_);
-        FPM_CHECK(!stopped_, "store is stopped");
-        snapshot_locked();
-    }
-    fire_commit_hook();
+    std::lock_guard lock(mutex_);
+    FPM_CHECK(!stopped_, "store is stopped");
+    snapshot_locked();
 }
 
 void ModelStore::snapshot_locked() {
@@ -453,8 +450,6 @@ void ModelStore::snapshot_locked() {
     // The snapshot now covers everything: rotate to a fresh segment and
     // drop the old segments and older snapshots it superseded.
     const std::uint64_t old_segment = segment_id_;
-    last_seal_segment_ = old_segment;
-    last_seal_offset_ = wal_.committed_bytes();
     open_segment_locked(segment_id_ + 1, 0);
     fsync_dir(dir_);
     for (std::uint64_t id = 1; id <= old_segment; ++id) {
@@ -522,47 +517,35 @@ StoreStats ModelStore::stats() const {
     return stats_;
 }
 
-std::string ModelStore::segment_file_name(std::uint64_t id) {
-    return segment_name(id);
-}
-
-std::pair<std::uint64_t, std::uint64_t> ModelStore::wal_position() const {
-    std::lock_guard lock(mutex_);
-    return {segment_id_, wal_.is_open() ? wal_.committed_bytes() : 0};
-}
-
 std::uint64_t ModelStore::committed_generation() const {
     std::lock_guard lock(mutex_);
     return next_generation_ - 1;
 }
 
-ReplSnapshot ModelStore::replication_snapshot() const {
-    std::lock_guard lock(mutex_);
-    // Generation order, not name order: a replica applies records in
+ReplRecords ModelStore::records_after(std::uint64_t generation) const {
+    std::vector<PublishRecord> records;
+    ReplRecords out;
+    {
+        std::lock_guard lock(mutex_);
+        for (const auto& [name, record] : mirror_) {
+            if (record.generation > generation) {
+                records.push_back(record);
+            }
+        }
+        out.committed = next_generation_ - 1;
+    }
+    // Generation order, not name order: a follower applies records in
     // arrival order and drops any at or below its highest applied
     // generation, so a newer set arriving first would hide older ones.
-    std::vector<const PublishRecord*> records;
-    records.reserve(mirror_.size());
-    for (const auto& entry : mirror_) {
-        records.push_back(&entry.second);
+    std::sort(records.begin(), records.end(),
+              [](const PublishRecord& a, const PublishRecord& b) {
+                  return a.generation < b.generation;
+              });
+    out.payloads.reserve(records.size());
+    for (const PublishRecord& record : records) {
+        out.payloads.push_back(encode_publish_record(record));
     }
-    std::sort(records.begin(), records.end(), [](const auto* a, const auto* b) {
-        return a->generation < b->generation;
-    });
-    ReplSnapshot snap;
-    snap.payloads.reserve(records.size());
-    for (const PublishRecord* record : records) {
-        snap.payloads.push_back(encode_publish_record(*record));
-    }
-    snap.next_generation = next_generation_;
-    snap.segment = segment_id_;
-    snap.offset = wal_.is_open() ? wal_.committed_bytes() : 0;
-    return snap;
-}
-
-std::pair<std::uint64_t, std::uint64_t> ModelStore::last_seal() const {
-    std::lock_guard lock(mutex_);
-    return {last_seal_segment_, last_seal_offset_};
+    return out;
 }
 
 void ModelStore::set_commit_hook(std::function<void()> hook) {

@@ -246,8 +246,8 @@ TEST(DocsConsistency, ProtocolSpecCoversTheReplVerbs) {
     // part of the wire contract and must be specified.
     const std::string spec = read_file("docs/protocol.md");
     for (const char* token :
-         {"REPL HELLO", "OK REPL STREAM", "OK REPL SNAP", "REPL FRAME",
-          "REPL SNAP bytes=", "REPL PING", "committed=", "pos=",
+         {"REPL HELLO gen=", "OK REPL committed=", "REPL FRAME bytes=",
+          "REPL PING committed=", "ascending generation order",
           "`read_only`", "docs/replication.md"}) {
         EXPECT_NE(spec.find(token), std::string::npos)
             << "'" << token << "' is not documented in docs/protocol.md";
@@ -259,8 +259,8 @@ TEST(DocsConsistency, ReplicationGuideCoversTheSubsystem) {
     // Topology + handshake + lag semantics + the failover runbook: the
     // operator-facing surface of fpm::repl, kept honest by name.
     for (const char* token :
-         {"WAL shipping", "REPL HELLO", "REPL FRAME", "REPL SNAP",
-          "REPL PING", "snapshot transfer", "seal point",
+         {"REPL HELLO gen=", "OK REPL committed=", "REPL FRAME",
+          "REPL PING", "ascending generation order", "records_after",
           "--repl-listen", "--replica-of", "read_only",
           "repl_lag_frames", "repl_lag_seconds", "repl_source",
           "repl_applied_generation", "role=replica", "failover",

@@ -1,13 +1,14 @@
-// fpm::repl suite: ReplicationLog position iteration at segment
-// boundaries (exact-frame resume after WAL rotation, snapshot fallback
-// when the segment was GC'd), primary → replica convergence over the
-// wire (streaming and snapshot-transfer paths, bit-for-bit plan
-// equality, replica-side durability), read-only write rejection, the
-// typed STATS/HEALTH replication fields, client endpoint failover, a
-// chaos run with every repl.* fault armed, and the headline
-// fork()+SIGKILL drill: primary killed mid-stream, the replica serves
-// the last acknowledged generation bit-for-bit and the failover client
-// completes with zero torn replies.
+// fpm::repl suite: ReplicationLog catch-up by generation (the latest
+// record per set, in ascending generation order, unaffected by WAL
+// rotation and GC), primary → replica convergence over the wire (fresh,
+// live and restarted followers, bit-for-bit plan equality, replica-side
+// durability), the replicator's reconnect backoff and handshake
+// validation, read-only write rejection, the typed STATS/HEALTH
+// replication fields, client endpoint failover, a chaos run with every
+// repl.* fault armed, and the headline fork()+SIGKILL drill: primary
+// killed mid-stream, the replica serves the last acknowledged
+// generation bit-for-bit and the failover client completes with zero
+// torn replies.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -167,10 +168,10 @@ struct Replica {
         engine.set_read_only(true);
         ReplicatorConfig config;
         config.source = Endpoint{"127.0.0.1", source_port};
-        config.transport.connect_timeout = 2.0;
-        config.transport.recv_timeout = 2.0;
-        config.transport.backoff_base = 0.01;
-        config.transport.backoff_max = 0.05;
+        config.connect_timeout = 2.0;
+        config.recv_timeout = 2.0;
+        config.backoff_base = 0.01;
+        config.backoff_max = 0.05;
         replicator = std::make_unique<Replicator>(engine, &store, config);
         replicator->start();
     }
@@ -198,25 +199,22 @@ std::uint64_t max_generation(const ModelRegistry& registry) {
     return top;
 }
 
-// ---------------------------------------------------------------------------
-// ReplPosition
-// ---------------------------------------------------------------------------
-
-TEST(ReplPositionTest, ParsesItsOwnRendering) {
-    const ReplPosition pos{3, 128};
-    EXPECT_EQ(pos.to_string(), "3:128");
-    EXPECT_EQ(ReplPosition::parse("3:128"), pos);
-    EXPECT_EQ(ReplPosition::parse("0:0"), (ReplPosition{0, 0}));
-    for (const char* bad : {"", "3", ":", "3:", ":128", "a:b", "3:12x"}) {
-        EXPECT_THROW((void)ReplPosition::parse(bad), fpm::Error) << bad;
+/// Decoded generations of `payloads`, in order.
+std::vector<std::uint64_t> generations_of(
+    const std::vector<std::string>& payloads) {
+    std::vector<std::uint64_t> generations;
+    for (const std::string& payload : payloads) {
+        generations.push_back(
+            store::decode_publish_record(payload, "test").generation);
     }
+    return generations;
 }
 
 // ---------------------------------------------------------------------------
-// ReplicationLog: committed-frame iteration and live tailing
+// ReplicationLog: catch-up by generation and live tailing
 // ---------------------------------------------------------------------------
 
-TEST(ReplicationLogTest, StreamsCommittedFramesInOrderThenTimesOut) {
+TEST(ReplicationLogTest, ShipsTheLatestRecordPerSetInGenerationOrder) {
     TempDir dir;
     ModelRegistry registry;
     StoreOptions options;
@@ -225,26 +223,29 @@ TEST(ReplicationLogTest, StreamsCommittedFramesInOrderThenTimesOut) {
     store.recover(registry);
     store.attach(registry);
     registry.put("alpha", synthetic_models(2, 16, 1.0));
-    registry.put("alpha", synthetic_models(2, 16, 2.0));
+    registry.put("beta", synthetic_models(2, 16, 2.0));
+    registry.put("alpha", synthetic_models(2, 16, 3.0));
+    // "aardvark" sorts first by name but is the newest set.
+    registry.put("aardvark", synthetic_models(2, 16, 4.0));
 
     ReplicationLog log(store);
-    ReplPosition pos{1, 0};
-    std::string payload;
-    ASSERT_EQ(log.next(pos, payload, 1.0), ReplicationLog::Next::kFrame);
-    auto record = store::decode_publish_record(payload, "test");
-    EXPECT_EQ(record.name, "alpha");
-    EXPECT_EQ(record.generation, 1u);
-    ASSERT_EQ(log.next(pos, payload, 1.0), ReplicationLog::Next::kFrame);
-    record = store::decode_publish_record(payload, "test");
-    EXPECT_EQ(record.generation, 2u);
-    EXPECT_EQ(record.fingerprint,
-              serve::fingerprint_models(synthetic_models(2, 16, 2.0)));
+    std::uint64_t after = 0;
+    std::vector<std::string> payloads;
+    ASSERT_EQ(log.next(after, payloads, 1.0), ReplicationLog::Next::kRecords);
+    // alpha@1 was superseded by alpha@3 and is not shipped.
+    EXPECT_EQ(generations_of(payloads), (std::vector<std::uint64_t>{2, 3, 4}));
+    EXPECT_EQ(store::decode_publish_record(payloads[1], "test").fingerprint,
+              serve::fingerprint_models(synthetic_models(2, 16, 3.0)));
+    EXPECT_EQ(after, 4u);
 
-    // Caught up: the position equals the commit point and next() waits.
-    const auto [segment, committed] = store.wal_position();
-    EXPECT_EQ(pos, (ReplPosition{segment, committed}));
-    EXPECT_EQ(log.next(pos, payload, 0.02), ReplicationLog::Next::kTimeout);
-    EXPECT_EQ(pos, (ReplPosition{segment, committed}));
+    // Caught up: next() waits and leaves its arguments alone.
+    EXPECT_EQ(log.next(after, payloads, 0.02), ReplicationLog::Next::kTimeout);
+    EXPECT_EQ(after, 4u);
+
+    // A follower part-way through gets exactly the sets above its place.
+    after = 2;
+    ASSERT_EQ(log.next(after, payloads, 1.0), ReplicationLog::Next::kRecords);
+    EXPECT_EQ(generations_of(payloads), (std::vector<std::uint64_t>{3, 4}));
     store.abandon();
 }
 
@@ -258,20 +259,20 @@ TEST(ReplicationLogTest, TailingNextWakesOnCommit) {
     store.attach(registry);
     ReplicationLog log(store);
 
-    ReplPosition pos{1, 0};
-    std::string payload;
+    std::uint64_t after = 0;
+    std::vector<std::string> payloads;
     std::atomic<int> result{-1};
     std::thread tail([&] {
-        result.store(static_cast<int>(log.next(pos, payload, 20.0)));
+        result.store(static_cast<int>(log.next(after, payloads, 20.0)));
     });
-    // Give the tail a moment to block at the (empty) commit point, then
+    // Give the tail a moment to block with nothing committed, then
     // publish: the commit hook must wake it well before the timeout.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     registry.put("alpha", synthetic_models(2, 16, 1.0));
     tail.join();
     EXPECT_EQ(result.load(),
-              static_cast<int>(ReplicationLog::Next::kFrame));
-    EXPECT_EQ(store::decode_publish_record(payload, "test").generation, 1u);
+              static_cast<int>(ReplicationLog::Next::kRecords));
+    EXPECT_EQ(generations_of(payloads), (std::vector<std::uint64_t>{1}));
     store.abandon();
 }
 
@@ -283,26 +284,22 @@ TEST(ReplicationLogTest, StopWakesBlockedReaders) {
     store.attach(registry);
     ReplicationLog log(store);
 
-    ReplPosition pos{1, 0};
-    std::string payload;
+    std::uint64_t after = 0;
+    std::vector<std::string> payloads;
     std::atomic<int> result{-1};
     std::thread tail([&] {
-        result.store(static_cast<int>(log.next(pos, payload, 60.0)));
+        result.store(static_cast<int>(log.next(after, payloads, 60.0)));
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     log.stop();
     tail.join();
     EXPECT_EQ(result.load(),
               static_cast<int>(ReplicationLog::Next::kStopped));
-    EXPECT_EQ(log.next(pos, payload, 1.0), ReplicationLog::Next::kStopped);
+    EXPECT_EQ(log.next(after, payloads, 1.0), ReplicationLog::Next::kStopped);
     store.abandon();
 }
 
-// ---------------------------------------------------------------------------
-// ReplicationLog: segment boundaries
-// ---------------------------------------------------------------------------
-
-TEST(ReplicationLogTest, SealPointResumesExactlyAcrossRotationAndGc) {
+TEST(ReplicationLogTest, RotationAndGcDoNotMoveTheStream) {
     TempDir dir;
     ModelRegistry registry;
     StoreOptions options;
@@ -314,103 +311,18 @@ TEST(ReplicationLogTest, SealPointResumesExactlyAcrossRotationAndGc) {
     registry.put("alpha", synthetic_models(2, 16, 2.0));
 
     ReplicationLog log(store);
-    ReplPosition pos{1, 0};
-    std::string payload;
-    ASSERT_EQ(log.next(pos, payload, 1.0), ReplicationLog::Next::kFrame);
-    ASSERT_EQ(log.next(pos, payload, 1.0), ReplicationLog::Next::kFrame);
-    const ReplPosition caught_up = pos;
-
-    // Rotation GCs segment 1, but a follower standing exactly at its
-    // seal point has missed nothing: the position stays resumable and
-    // the next frame arrives from segment 2 without a snapshot.
-    store.snapshot();
-    EXPECT_FALSE(fs::exists(store.segment_path(1)));
-    EXPECT_EQ(store.last_seal(),
-              std::make_pair(caught_up.segment, caught_up.offset));
-    EXPECT_TRUE(log.position_available(caught_up));
+    std::uint64_t after = 1;  // a follower that applied only generation 1
+    std::vector<std::string> payloads;
+    store.snapshot();  // rotates to segment 2 and GCs segment 1
+    ASSERT_FALSE(fs::exists(dir.path + "/wal-000001.log"));
+    ASSERT_EQ(log.next(after, payloads, 1.0), ReplicationLog::Next::kRecords);
+    EXPECT_EQ(generations_of(payloads), (std::vector<std::uint64_t>{2}));
 
     registry.put("alpha", synthetic_models(2, 16, 3.0));
-    ASSERT_EQ(log.next(pos, payload, 1.0), ReplicationLog::Next::kFrame);
-    EXPECT_EQ(pos.segment, 2u);
-    const auto record = store::decode_publish_record(payload, "test");
-    EXPECT_EQ(record.generation, 3u);
-    store.abandon();
-}
-
-TEST(ReplicationLogTest, GcdSegmentOffTheSealPointIsAGap) {
-    TempDir dir;
-    ModelRegistry registry;
-    StoreOptions options;
-    options.snapshot_every = 0;
-    ModelStore store(dir.path, options);
-    store.recover(registry);
-    store.attach(registry);
-    registry.put("alpha", synthetic_models(2, 16, 1.0));
-    registry.put("alpha", synthetic_models(2, 16, 2.0));
-    store.snapshot();  // rotates to segment 2, GCs segment 1
-
-    ReplicationLog log(store);
-    // A follower that had only frame 1 of the GC'd segment: its frames
-    // are gone for good — the handshake must refuse the resume so the
-    // server falls back to a snapshot transfer.
-    ReplPosition behind{1, 0};
-    std::string payload;
-    EXPECT_FALSE(log.position_available(behind));
-    EXPECT_EQ(log.next(behind, payload, 0.05), ReplicationLog::Next::kGap);
-    EXPECT_EQ(behind, (ReplPosition{1, 0}));
-
-    // Future segments and the reserved segment 0 are gaps too.
-    EXPECT_FALSE(log.position_available(ReplPosition{0, 0}));
-    EXPECT_FALSE(log.position_available(ReplPosition{9, 0}));
-    ReplPosition future{9, 0};
-    EXPECT_EQ(log.next(future, payload, 0.05), ReplicationLog::Next::kGap);
-
-    // The snapshot fallback hands exactly the live content plus the
-    // resume position at the new segment's commit point.
-    const auto snap = store.replication_snapshot();
-    EXPECT_EQ(snap.payloads.size(), 1u);
-    EXPECT_EQ(snap.next_generation, 3u);
-    EXPECT_EQ(snap.segment, 2u);
-    EXPECT_EQ(store::decode_publish_record(snap.payloads[0], "snap").generation,
-              2u);
-    store.abandon();
-}
-
-TEST(ReplicationLogTest, SealedSegmentStillOnDiskIsReadToItsEnd) {
-    TempDir dir;
-    ModelRegistry registry;
-    StoreOptions options;
-    options.snapshot_every = 0;
-    ModelStore store(dir.path, options);
-    store.recover(registry);
-    store.attach(registry);
-    registry.put("alpha", synthetic_models(2, 16, 1.0));
-    registry.put("alpha", synthetic_models(2, 16, 2.0));
-
-    // Preserve segment 1 across the rotation's GC, simulating a lazier
-    // collector: a sealed-but-present segment must be read to its end
-    // before the position advances to the next segment.
-    const std::string segment1 = store.segment_path(1);
-    const std::string stash = dir.path + "/stash.bin";
-    ASSERT_TRUE(fs::copy_file(segment1, stash));
     store.snapshot();
-    ASSERT_FALSE(fs::exists(segment1));
-    ASSERT_TRUE(fs::copy_file(stash, segment1));
-    registry.put("alpha", synthetic_models(2, 16, 3.0));
-
-    ReplicationLog log(store);
-    EXPECT_TRUE(log.position_available(ReplPosition{1, 0}));
-    ReplPosition pos{1, 0};
-    std::string payload;
-    std::vector<std::uint64_t> generations;
-    for (int i = 0; i < 3; ++i) {
-        ASSERT_EQ(log.next(pos, payload, 1.0), ReplicationLog::Next::kFrame);
-        generations.push_back(
-            store::decode_publish_record(payload, "test").generation);
-    }
-    EXPECT_EQ(generations, (std::vector<std::uint64_t>{1, 2, 3}));
-    EXPECT_EQ(pos.segment, 2u);
-    EXPECT_EQ(log.next(pos, payload, 0.02), ReplicationLog::Next::kTimeout);
+    ASSERT_EQ(log.next(after, payloads, 1.0), ReplicationLog::Next::kRecords);
+    EXPECT_EQ(generations_of(payloads), (std::vector<std::uint64_t>{3}));
+    EXPECT_EQ(after, 3u);
     store.abandon();
 }
 
@@ -482,7 +394,7 @@ TEST(ReplEndToEnd, FreshReplicaBehindGcGetsASnapshotTransfer) {
     TempDir primary_dir;
     TempDir replica_dir;
     // snapshot_every=2: by generation 4 the early segments are GC'd, so
-    // a fresh replica (HELLO 0:0) cannot stream from the beginning.
+    // a fresh replica (HELLO gen=0) cannot be fed from the WAL files.
     // "alpha" ends at generation 3 and "aardvark", which sorts before
     // it by name, holds generation 4: a snapshot shipped in name order
     // would make the replica drop alpha as already applied.
@@ -492,13 +404,11 @@ TEST(ReplEndToEnd, FreshReplicaBehindGcGetsASnapshotTransfer) {
                              synthetic_models(3, 32, static_cast<double>(g)));
     }
     primary.registry.put("aardvark", synthetic_models(2, 32, 4.0));
-    ASSERT_FALSE(fs::exists(primary.store.segment_path(1)));
+    ASSERT_FALSE(fs::exists(primary_dir.path + "/wal-000001.log"));
 
     Replica replica(replica_dir.path, primary.server->port());
     ASSERT_TRUE(wait_until(
         [&] { return replica.replicator->applied_generation() >= 4; }));
-    EXPECT_GE(replica.replicator->snapshots_received(), 1u);
-    EXPECT_GE(primary.server->snapshots_sent(), 1u);
     const auto sets = primary.registry.snapshot();
     ASSERT_EQ(sets.size(), 2u);
     for (const auto& set : sets) {
@@ -508,11 +418,123 @@ TEST(ReplEndToEnd, FreshReplicaBehindGcGetsASnapshotTransfer) {
         EXPECT_EQ(copy->fingerprint, set->fingerprint) << set->name;
     }
 
-    // The stream keeps tailing after the snapshot hand-off.
+    // The stream keeps tailing after the catch-up.
     primary.registry.put("alpha", synthetic_models(3, 32, 9.0));
     ASSERT_TRUE(wait_until(
         [&] { return replica.replicator->applied_generation() >= 5; }));
     EXPECT_EQ(replica.registry.get("alpha")->generation, 5u);
+}
+
+TEST(ReplEndToEnd, LiveFollowerSurvivesRotationAndGc) {
+    ReplStatusGuard status_guard;
+    TempDir primary_dir;
+    TempDir replica_dir;
+    // snapshot_every=2: every second publish rotates the WAL and GCs the
+    // segment the follower was reading.
+    Primary primary(primary_dir.path, 2);
+    primary.registry.put("alpha", synthetic_models(3, 24, 1.0));
+    Replica replica(replica_dir.path, primary.server->port());
+    ASSERT_TRUE(wait_until(
+        [&] { return replica.replicator->applied_generation() >= 1; }));
+
+    for (std::uint64_t g = 2; g <= 17; ++g) {
+        primary.registry.put(g % 2 == 0 ? "beta" : "alpha",
+                             synthetic_models(3, 24, static_cast<double>(g)));
+        ASSERT_TRUE(wait_until(
+            [&] { return replica.replicator->applied_generation() >= g; }))
+            << "generation " << g << " never became visible";
+    }
+    EXPECT_GE(primary.store.stats().snapshots, 8u);
+    EXPECT_EQ(replica.replicator->reconnects(), 0u);
+    EXPECT_EQ(replica.replicator->frames_applied(), 17u);
+    for (const auto& set : primary.registry.snapshot()) {
+        const auto copy = replica.registry.find(set->name);
+        ASSERT_NE(copy, nullptr) << set->name;
+        EXPECT_EQ(copy->generation, set->generation) << set->name;
+        EXPECT_EQ(copy->fingerprint, set->fingerprint) << set->name;
+    }
+}
+
+TEST(ReplEndToEnd, RestartedReplicaGetsOnlyWhatItLacks) {
+    ReplStatusGuard status_guard;
+    TempDir primary_dir;
+    TempDir replica_dir;
+    Primary primary(primary_dir.path);
+    primary.registry.put("alpha", synthetic_models(3, 24, 1.0));
+    primary.registry.put("beta", synthetic_models(2, 24, 2.0));
+    primary.registry.put("gamma", synthetic_models(2, 24, 3.0));
+    {
+        Replica replica(replica_dir.path, primary.server->port());
+        ASSERT_TRUE(wait_until(
+            [&] { return replica.replicator->applied_generation() >= 3; }));
+    }  // stopped and abandoned like a crash: its own store holds G = 3
+    const std::uint64_t sent_before = primary.server->frames_sent();
+    EXPECT_EQ(sent_before, 3u);
+
+    primary.registry.put("delta", synthetic_models(2, 24, 4.0));
+    primary.registry.put("alpha", synthetic_models(3, 24, 5.0));
+    Replica restarted(replica_dir.path, primary.server->port());
+    ASSERT_TRUE(wait_until(
+        [&] { return restarted.replicator->applied_generation() >= 5; }));
+    // Only the two sets published after G crossed the wire.
+    EXPECT_EQ(primary.server->frames_sent() - sent_before, 2u);
+    EXPECT_EQ(restarted.replicator->frames_applied(), 2u);
+    EXPECT_EQ(restarted.registry.size(), 4u);
+    for (const auto& set : primary.registry.snapshot()) {
+        const auto copy = restarted.registry.find(set->name);
+        ASSERT_NE(copy, nullptr) << set->name;
+        EXPECT_EQ(copy->generation, set->generation) << set->name;
+        EXPECT_EQ(copy->fingerprint, set->fingerprint) << set->name;
+    }
+    EXPECT_EQ(restarted.registry.next_generation(),
+              primary.registry.next_generation());
+}
+
+TEST(ReplTransport, CompletedHandshakeResetsTheReconnectBackoff) {
+    // A fake primary answers the handshake and then hangs up, kSessions
+    // times.  Each reconnect must wait only backoff_base (10 ms): were
+    // the handshakes counted as failures, the delays would double to the
+    // 0.5 s cap, 0.01 + 0.02 + ... + 0.32 + 0.5 = 1.13 s in total.
+    ReplStatusGuard status_guard;
+    constexpr int kSessions = 8;
+    const serve::Listener listener = serve::listen_tcp("127.0.0.1", 0, 4, false);
+    std::vector<std::chrono::steady_clock::time_point> hellos;
+    std::thread fake_primary([&] {
+        for (int i = 0; i < kSessions; ++i) {
+            pollfd pfd{listener.fd, POLLIN, 0};
+            if (::poll(&pfd, 1, 10000) <= 0) {
+                return;
+            }
+            serve::LineConn conn(::accept(listener.fd, nullptr, nullptr), 0.0);
+            try {
+                if (conn.read_line().rfind("REPL HELLO ", 0) != 0) {
+                    return;
+                }
+                hellos.push_back(std::chrono::steady_clock::now());
+                conn.send_all("OK REPL committed=0\n");
+            } catch (const serve::TransportError&) {
+            }
+        }
+    });
+
+    ModelRegistry registry;
+    RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
+    ReplicatorConfig config;
+    config.source = Endpoint{"127.0.0.1", listener.port};
+    config.connect_timeout = 2.0;
+    config.recv_timeout = 2.0;
+    config.backoff_base = 0.01;
+    config.backoff_max = 0.5;
+    Replicator replicator(engine, nullptr, config);
+    replicator.start();
+    fake_primary.join();
+    replicator.stop();
+    ::close(listener.fd);
+
+    ASSERT_EQ(hellos.size(), static_cast<std::size_t>(kSessions));
+    const double span =
+        std::chrono::duration<double>(hellos.back() - hellos.front()).count();
+    EXPECT_LT(span, 0.35) << "reconnect delays grew past backoff_base";
 }
 
 TEST(ReplTransport, FrameAboveTheWalCapReconnectsBeforeReadingIt) {
@@ -537,10 +559,10 @@ TEST(ReplTransport, FrameAboveTheWalCapReconnectsBeforeReadingIt) {
                 hellos.fetch_add(1);
                 if (i == 0) {
                     conn.send_all(
-                        "OK REPL STREAM pos=1:0\nREPL FRAME bytes=" +
+                        "OK REPL committed=1\nREPL FRAME bytes=" +
                         std::to_string(serve::kFrameHeaderBytes +
                                        serve::kMaxFrameBytes + 1) +
-                        " pos=1:64\n");
+                        "\n");
                     (void)conn.read_line();  // until the replica hangs up
                 }
             } catch (const serve::TransportError&) {
@@ -552,10 +574,10 @@ TEST(ReplTransport, FrameAboveTheWalCapReconnectsBeforeReadingIt) {
     RequestEngine engine(registry, {.workers = 1, .cache_capacity = 8});
     ReplicatorConfig config;
     config.source = Endpoint{"127.0.0.1", listener.port};
-    config.transport.connect_timeout = 2.0;
-    config.transport.recv_timeout = 30.0;
-    config.transport.backoff_base = 0.01;
-    config.transport.backoff_max = 0.05;
+    config.connect_timeout = 2.0;
+    config.recv_timeout = 30.0;
+    config.backoff_base = 0.01;
+    config.backoff_max = 0.05;
     Replicator replicator(engine, nullptr, config);
     replicator.start();
     EXPECT_TRUE(wait_until([&] { return hellos.load() >= 2; }, 10.0));
@@ -582,6 +604,16 @@ TEST(ReplTransport, OverlongHelloEndsOnlyThatSession) {
                                 2.0, 10.0);
         hostile.send_all("REPL HELLO " + std::string(5 * 1024, '7') + "\n");
         EXPECT_THROW((void)hostile.read_line(), serve::TransportError);
+    }
+    // Malformed handshakes: one ERR line each, then that session ends.
+    for (const char* bad :
+         {"REPL HELLO 3:128", "REPL HELLO gen=", "REPL HELLO gen=-1",
+          "REPL HELLO gen=18446744073709551616"}) {
+        serve::LineConn hostile(Endpoint{"127.0.0.1", primary.server->port()},
+                                2.0, 10.0);
+        hostile.send_all(std::string(bad) + "\n");
+        EXPECT_EQ(hostile.read_line().rfind("ERR ", 0), 0u) << bad;
+        EXPECT_THROW((void)hostile.read_line(), serve::TransportError) << bad;
     }
     EXPECT_TRUE(wait_until([&] { return primary.server->sessions() == 1; }));
 

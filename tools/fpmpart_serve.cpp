@@ -56,6 +56,7 @@
 #include "fpm/repl/replication_log.hpp"
 #include "fpm/repl/replication_server.hpp"
 #include "fpm/repl/replicator.hpp"
+#include "fpm/serve/client.hpp"
 #include "fpm/serve/server.hpp"
 #include "fpm/store/model_store.hpp"
 #include "tool_args.hpp"
@@ -266,7 +267,10 @@ int main(int argc, char** argv) {
             engine.set_read_only(true);
             repl::ReplicatorConfig repl_config;
             repl_config.source = replica_source;
-            repl_config.transport = config;
+            repl_config.connect_timeout = config.connect_timeout;
+            repl_config.recv_timeout = config.recv_timeout;
+            repl_config.backoff_base = config.backoff_base;
+            repl_config.backoff_max = config.backoff_max;
             replicator = std::make_unique<repl::Replicator>(
                 engine, model_store.get(), repl_config);
             replicator->start();

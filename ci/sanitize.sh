@@ -1,19 +1,23 @@
 #!/usr/bin/env bash
-# Sanitizer job: configures (once) a sanitizer build tree through the
+# Sanitizer job: configures a sanitizer build tree through the
 # project's own CMake options, builds it, then runs every test whose
 # ctest label matches <ctest-label-regex> under the sanitizer.
 #
 # Usage: ci/sanitize.sh <asan|tsan> <ctest-label-regex> [build-dir]
 #
-#   asan   ASan + UBSan (-DFPMPART_SANITIZE=address,undefined),
+#   asan   ASan + UBSan, float-to-int overflow included (GCC leaves
+#          float-cast-overflow out of -fsanitize=undefined):
+#          -DFPMPART_SANITIZE=address,undefined,float-cast-overflow,
 #          default build dir build-asan
 #   tsan   ThreadSanitizer (-DFPMPART_TSAN=ON), default build dir
 #          build-tsan
 #
-# The three documented runs (docs/operations.md section 3):
+# The documented runs (docs/operations.md section 3):
 #
 #   ci/sanitize.sh asan store               # WAL/recovery/crash/chaos suites
 #   ci/sanitize.sh asan repl                # replication + SIGKILL drill
+#   ci/sanitize.sh asan 'serve|store|repl|fault|parse'
+#                                           # every parser of outside input
 #   ci/sanitize.sh tsan 'serve|store|repl'  # serving stack, store, repl
 #
 #   FPMPART_BUILD_JOBS   build parallelism (default 2)
@@ -30,9 +34,11 @@ jobs="${FPMPART_BUILD_JOBS:-2}"
 
 case "$1" in
   asan)
-    option="-DFPMPART_SANITIZE=address,undefined"
+    option="-DFPMPART_SANITIZE=address,undefined,float-cast-overflow"
     build="${3:-$repo/build-asan}"
     export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}"
+    # UBSan only prints by default; a report must fail its test.
+    export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
     ;;
   tsan)
     option="-DFPMPART_TSAN=ON"
@@ -44,9 +50,9 @@ case "$1" in
     ;;
 esac
 
-if [ ! -f "$build/CMakeCache.txt" ]; then
-  cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo "$option"
-fi
+# Configured on every run, so a tree from an older flag set picks up
+# the current one (a no-op when nothing changed).
+cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo "$option"
 
 cmake --build "$build" -j "$jobs"
 ctest --test-dir "$build" -L "$2" --output-on-failure -j 1

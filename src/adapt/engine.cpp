@@ -90,6 +90,10 @@ AdaptEngine::Impl::ingest(const serve::FeedbackSample& sample) {
     FPM_CHECK(sample.device >= 0, "device index must be non-negative");
     FPM_CHECK(sample.problem_size > 0.0, "problem size must be positive");
     FPM_CHECK(sample.seconds > 0.0, "measured time must be positive");
+    const double speed = sample.problem_size / sample.seconds;
+    FPM_CHECK(std::isfinite(speed) && speed > 0.0,
+              "observed speed (problem size / measured time) must be finite "
+              "and positive");
 
     auto snapshot = engine.registry().get(sample.model_set);
     FPM_CHECK(static_cast<std::size_t>(sample.device) <

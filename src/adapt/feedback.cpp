@@ -27,6 +27,10 @@ IngestResult FeedbackIngestor::add(std::int64_t device, double problem_size,
     FPM_CHECK(device >= 0, "device index must be non-negative");
     FPM_CHECK(problem_size > 0.0, "problem size must be positive");
     FPM_CHECK(seconds > 0.0, "measured time must be positive");
+    const double speed = problem_size / seconds;
+    FPM_CHECK(std::isfinite(speed) && speed > 0.0,
+              "observed speed (problem size / measured time) must be finite "
+              "and positive");
 
     const std::int64_t region = static_cast<std::int64_t>(std::floor(
         std::log(problem_size) / std::log1p(config_.bucket_resolution)));
@@ -45,7 +49,7 @@ IngestResult FeedbackIngestor::add(std::int64_t device, double problem_size,
     }
 
     Bucket& bucket = buckets_[key];
-    bucket.speed.add(problem_size / seconds);
+    bucket.speed.add(speed);
     bucket.size.add(problem_size);
     ++total_;
 

@@ -75,7 +75,8 @@ public:
 
     /// Ingests one sample synchronously (test/tool entry point; the
     /// serve path reaches it through handle_request() on the engine's
-    /// pool).
+    /// pool).  Throws fpm::Error, before any state changes, for a sample
+    /// whose speed x / seconds is not finite and positive.
     serve::FeedbackReply ingest(const serve::FeedbackSample& sample);
 
     [[nodiscard]] AdaptStats stats() const;

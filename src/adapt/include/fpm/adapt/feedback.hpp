@@ -44,7 +44,8 @@ public:
     /// resolution/target, zero bucket budget).
     explicit FeedbackIngestor(const AdaptConfig& config);
 
-    /// Ingests one measurement (x > 0 blocks in `seconds` > 0 wall time)
+    /// Ingests one measurement (x > 0 blocks in `seconds` > 0 wall time,
+    /// with a finite positive speed x / seconds; fpm::Error otherwise)
     /// and reports the owning bucket's state.  When the bucket budget is
     /// exhausted the bucket with the least evidence is dropped first.
     IngestResult add(std::int64_t device, double problem_size,

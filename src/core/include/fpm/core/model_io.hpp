@@ -14,6 +14,10 @@
 ///
 /// `max_problem` is the literal string `inf` for unbounded devices.
 /// Points of one model must be contiguous; models appear in file order.
+/// Cells split at every comma and numbers are read by
+/// fpm::text::to_number: a cell is one decimal double with no blanks, no
+/// `+` and no hex, that neither overflows nor underflows to zero.  `x`
+/// and `speed` must be finite (the SpeedFunction constructor checks).
 /// v1 files (headerless — they start directly with the CSV column
 /// header) still load; a file claiming a *newer* format version than
 /// this build understands is rejected instead of misparsed.

@@ -34,9 +34,9 @@ class SpeedFunction {
 public:
     SpeedFunction() = default;
 
-    /// Points must have strictly increasing positive x and positive speed;
-    /// they are sorted internally.  `max_problem` bounds the feasible
-    /// problem size (infinity = unbounded).
+    /// Points must have finite, strictly increasing positive x and finite
+    /// positive speed; they are sorted internally.  `max_problem` bounds
+    /// the feasible problem size (infinity = unbounded).
     explicit SpeedFunction(std::vector<SpeedPoint> points, std::string name = {},
                            double max_problem =
                                std::numeric_limits<double>::infinity());

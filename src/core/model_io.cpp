@@ -1,11 +1,12 @@
 #include "fpm/core/model_io.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <limits>
-#include <sstream>
+#include <optional>
+
+#include "fpm/common/text.hpp"
 
 namespace fpm::core {
 
@@ -13,66 +14,47 @@ namespace {
 
 constexpr const char* kColumnHeader = "name,max_problem,x,speed";
 
-std::vector<std::string> split_csv_line(const std::string& line) {
-    std::vector<std::string> cells;
-    std::string cell;
-    std::istringstream stream(line);
-    while (std::getline(stream, cell, ',')) {
-        cells.push_back(cell);
-    }
-    return cells;
-}
-
 /// Strict double parse for one CSV cell; throws ParseError pinpointing
 /// `column` (1-based cell index) on failure.
-double parse_cell(const std::string& text, const std::string& origin,
+double parse_cell(std::string_view text, const std::string& origin,
                   std::size_t line, std::size_t column) {
-    const char* begin = text.c_str();
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin || *end != '\0') {
+    const auto value = text::to_number<double>(text);
+    if (!value) {
         throw ParseError(origin, line, column,
-                         "non-numeric value '" + text + "'");
+                         "non-numeric value '" + std::string(text) + "'");
     }
-    return value;
+    return *value;
 }
 
 /// Parses the `fpmmodel v<N>` magic line; returns 0 when `line` is not a
 /// header at all (a v1 file), throws for a recognisable header carrying
 /// an unusable version.
-int parse_magic(const std::string& line, const std::string& origin) {
-    std::istringstream stream(line);
-    std::string magic;
-    std::string version;
-    stream >> magic;
-    if (magic != kModelFileMagic) {
+int parse_magic(std::string_view line, const std::string& origin) {
+    const auto tokens = text::split_blanks(line);
+    if (tokens.empty() || tokens[0] != kModelFileMagic) {
         return 0;
     }
-    stream >> version;
-    if (version.size() < 2 || version[0] != 'v') {
+    const std::string_view version = tokens.size() > 1 ? tokens[1] : "";
+    const auto parsed = version.starts_with('v')
+                            ? text::to_number<int>(version.substr(1))
+                            : std::nullopt;
+    if (!parsed || *parsed <= 0) {
         throw ParseError(origin, 1, 0,
-                         "malformed format version '" + version + "'");
+                         "malformed format version '" + std::string(version) +
+                             "'");
     }
-    const char* begin = version.c_str() + 1;
-    char* end = nullptr;
-    const long parsed = std::strtol(begin, &end, 10);
-    if (end == begin || *end != '\0' || parsed <= 0) {
-        throw ParseError(origin, 1, 0,
-                         "malformed format version '" + version + "'");
-    }
-    if (parsed > kModelFormatVersion) {
+    if (*parsed > kModelFormatVersion) {
         throw ParseError(origin, 1, 0,
                          "unsupported format version v" +
-                             std::to_string(parsed) + " (this build reads up "
+                             std::to_string(*parsed) + " (this build reads up "
                              "to v" + std::to_string(kModelFormatVersion) +
                              ")");
     }
-    std::string trailing;
-    if (stream >> trailing) {
+    if (tokens.size() > 2) {
         throw ParseError(origin, 1, 0,
                          "trailing tokens after the format header");
     }
-    return static_cast<int>(parsed);
+    return *parsed;
 }
 
 } // namespace
@@ -80,7 +62,8 @@ int parse_magic(const std::string& line, const std::string& origin) {
 ParseError::ParseError(std::string origin, std::size_t line,
                        std::size_t column, std::string reason)
     : Error(origin + ":" + std::to_string(line) +
-            (column > 0 ? ":" + std::to_string(column) : std::string{}) +
+            (column > 0 ? std::string(":") + std::to_string(column)
+                        : std::string{}) +
             ": " + reason),
       origin_(std::move(origin)), line_(line), column_(column),
       reason_(std::move(reason)) {}
@@ -156,24 +139,21 @@ std::vector<SpeedFunction> read_speed_functions(std::istream& in,
         if (line.empty()) {
             continue;
         }
-        const auto cells = split_csv_line(line);
+        const auto cells = text::split(line, ',');
         if (cells.size() != 4) {
             throw ParseError(origin, line_number, 0,
                              "expected 4 CSV cells, got " +
                                  std::to_string(cells.size()));
         }
 
-        const std::string& name = cells[0];
+        const std::string_view name = cells[0];
         if (name != current_name || current_points.empty()) {
             if (name != current_name) {
                 flush();
             }
-            current_name = name;
+            current_name = std::string(name);
             model_first_line = line_number;
-            current_max =
-                (cells[1] == "inf")
-                    ? std::numeric_limits<double>::infinity()
-                    : parse_cell(cells[1], origin, line_number, 2);
+            current_max = parse_cell(cells[1], origin, line_number, 2);
         }
         current_points.push_back(
             SpeedPoint{parse_cell(cells[2], origin, line_number, 3),

@@ -12,6 +12,11 @@ SpeedFunction::SpeedFunction(std::vector<SpeedPoint> points, std::string name,
     : points_(std::move(points)), name_(std::move(name)), max_problem_(max_problem) {
     FPM_CHECK(!points_.empty(), "speed function needs at least one point");
     FPM_CHECK(max_problem_ > 0.0, "max_problem must be positive");
+    // Checked before the sort: a NaN x breaks its ordering.
+    for (const SpeedPoint& point : points_) {
+        FPM_CHECK(std::isfinite(point.x) && std::isfinite(point.speed),
+                  "speed points need finite x and speed");
+    }
     std::sort(points_.begin(), points_.end(),
               [](const SpeedPoint& a, const SpeedPoint& b) { return a.x < b.x; });
     for (std::size_t i = 0; i < points_.size(); ++i) {

@@ -1,6 +1,5 @@
 #include "fpm/fault/fault.hpp"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -10,6 +9,7 @@
 #include <thread>
 
 #include "fpm/common/error.hpp"
+#include "fpm/common/text.hpp"
 #include "fpm/obs/metrics.hpp"
 
 namespace fpm::fault {
@@ -230,39 +230,23 @@ std::vector<PointStats> stats() { return Registry::instance().stats(); }
 namespace {
 
 std::uint64_t parse_u64(std::string_view text, const std::string& entry) {
-    FPM_CHECK(!text.empty(), "malformed fault entry: " + entry);
-    std::uint64_t value = 0;
-    for (const char ch : text) {
-        FPM_CHECK(ch >= '0' && ch <= '9',
-                  "malformed number in fault entry: " + entry);
-        value = value * 10 + static_cast<std::uint64_t>(ch - '0');
-    }
-    return value;
+    const auto value = text::to_number<std::uint64_t>(text);
+    FPM_CHECK(value.has_value(), "malformed number in fault entry: " + entry);
+    return *value;
 }
 
 double parse_rate(std::string_view text, const std::string& entry) {
-    FPM_CHECK(!text.empty(), "malformed fault entry: " + entry);
-    errno = 0;
-    char* end = nullptr;
-    const std::string copy(text);
-    const double value = std::strtod(copy.c_str(), &end);
-    FPM_CHECK(end != copy.c_str() && *end == '\0' && errno == 0 &&
-                  value >= 0.0 && value <= 1.0,
+    const auto value = text::to_number<double>(text);
+    FPM_CHECK(value && *value >= 0.0 && *value <= 1.0,
               "fault rate must be a number in [0, 1]: " + entry);
-    return value;
+    return *value;
 }
 
 } // namespace
 
 FaultPlan FaultPlan::parse(std::string_view spec) {
     FaultPlan plan;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        const std::size_t comma = spec.find(',', pos);
-        const std::string_view raw = spec.substr(
-            pos, comma == std::string_view::npos ? std::string_view::npos
-                                                 : comma - pos);
-        pos = comma == std::string_view::npos ? spec.size() + 1 : comma + 1;
+    for (const std::string_view raw : text::split(spec, ',')) {
         if (raw.empty()) {
             continue;  // tolerate empty entries ("a=1,,b=1", trailing ',')
         }

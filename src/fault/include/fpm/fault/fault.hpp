@@ -20,6 +20,10 @@
 ///            | <point> '=' <rate> ':delay:' <ms>
 ///
 /// e.g. `FPMPART_FAULTS=seed=42,serve.send=0.05,serve.compute=0.1:delay:250`.
+/// Numbers are read by fpm::text::to_number: `<u64>` and `<ms>` are
+/// decimal digits only (a value past 2^64 - 1 is malformed, never
+/// wrapped; `<ms>` is at most 60000) and `<rate>` is a decimal double in
+/// [0, 1]; no `+`, blanks or hex.  Empty entries are skipped.
 ///
 /// Decisions carry an action: kFail (the site simulates the failure it
 /// guards — a dropped connection, a failed compute) or kDelay (fire()

@@ -244,8 +244,6 @@ ColumnLayout column_partition(std::int64_t n, std::span<const std::int64_t> area
         col0 += width;
     }
     FPM_ASSERT(col0 == n);
-
-    layout.validate();
     return layout;
 }
 

@@ -60,6 +60,9 @@ struct ColumnLayout {
 
     /// Verifies the exact-cover invariant: non-empty rectangles tile the
     /// n x n matrix without overlap.  Throws fpm::LogicError on violation.
+    /// O(p^2), so only tests call it: column_partition() builds the cover
+    /// by construction (each column's heights fill [0, n), the widths
+    /// fill [0, n), every part is >= 1) and asserts exactly that.
     void validate() const;
 };
 

@@ -7,10 +7,10 @@
 #include <cerrno>
 
 #include "fpm/common/error.hpp"
+#include "fpm/common/text.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/obs/metrics.hpp"
 #include "fpm/store/wal.hpp"
-#include "repl_fields.hpp"
 
 namespace fpm::repl {
 
@@ -157,14 +157,14 @@ void ReplicationServer::serve_follower(serve::LineConn& conn) {
     if (handshake_fault.fire()) {
         return;  // primary "crashes" before answering
     }
-    std::uint64_t after = 0;
-    try {
-        FPM_CHECK(hello.rfind("REPL HELLO ", 0) == 0, "not a REPL HELLO");
-        after = parse_u64_field(hello, "gen");
-    } catch (const Error&) {
+    const auto gen = text::field(hello, "gen");
+    const auto hello_gen =
+        gen ? text::to_number<std::uint64_t>(*gen) : std::nullopt;
+    if (!hello.starts_with("REPL HELLO ") || !hello_gen) {
         conn.send_all("ERR internal malformed REPL handshake\n");
         return;
     }
+    std::uint64_t after = *hello_gen;
     store::ModelStore& store = log_.store();
     conn.send_all("OK REPL committed=" +
                   std::to_string(store.committed_generation()) + "\n");

@@ -4,12 +4,12 @@
 #include <chrono>
 
 #include "fpm/common/error.hpp"
+#include "fpm/common/text.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/obs/metrics.hpp"
 #include "fpm/serve/repl_status.hpp"
 #include "fpm/serve/transport.hpp"
 #include "fpm/store/wal.hpp"
-#include "repl_fields.hpp"
 
 namespace fpm::repl {
 
@@ -34,6 +34,17 @@ struct ReplicaMetrics {
         return metrics;
     }
 };
+
+/// The decimal u64 of the `key=` field of a primary's REPL line; throws
+/// fpm::Error when it is missing or malformed.
+std::uint64_t u64_field(const std::string& line, std::string_view key) {
+    const auto value = text::field(line, key);
+    const auto number =
+        value ? text::to_number<std::uint64_t>(*value) : std::nullopt;
+    FPM_CHECK(number.has_value(), "malformed or missing " + std::string(key) +
+                                      "= in REPL line: " + line);
+    return *number;
+}
 
 } // namespace
 
@@ -148,16 +159,16 @@ void Replicator::run_once() {
     const std::string greeting = conn.read_line();
     FPM_CHECK(greeting.rfind("OK REPL ", 0) == 0,
               "unexpected REPL handshake reply: " + greeting);
-    record_contact(parse_u64_field(greeting, "committed"));
+    record_contact(u64_field(greeting, "committed"));
     connected_.store(true, std::memory_order_relaxed);
 
     while (!stop_.load(std::memory_order_relaxed)) {
         const std::string line = conn.read_line();
         if (line.rfind("REPL FRAME ", 0) == 0) {
-            apply_frame(conn.read_exact(parse_u64_field(line, "bytes")));
+            apply_frame(conn.read_exact(u64_field(line, "bytes")));
             record_contact(applied_generation_.load(std::memory_order_relaxed));
         } else if (line.rfind("REPL PING ", 0) == 0) {
-            record_contact(parse_u64_field(line, "committed"));
+            record_contact(u64_field(line, "committed"));
             ReplicaMetrics::get().heartbeats.add(1);
         } else {
             throw Error("unexpected REPL stream line: " + line);

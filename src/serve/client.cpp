@@ -1,13 +1,12 @@
 #include "fpm/serve/client.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "fpm/common/error.hpp"
 #include "fpm/common/rng.hpp"
+#include "fpm/common/text.hpp"
 #include "fpm/obs/metrics.hpp"
 
 namespace fpm::serve {
@@ -35,37 +34,26 @@ struct ClientMetrics {
 std::vector<Endpoint> parse_endpoint_list(const std::string& text,
                                           const std::string& default_host) {
     std::vector<Endpoint> endpoints;
-    std::size_t start = 0;
-    while (start <= text.size()) {
-        const std::size_t comma = text.find(',', start);
-        const std::string entry =
-            text.substr(start, comma == std::string::npos ? std::string::npos
-                                                          : comma - start);
-        FPM_CHECK(!entry.empty(), "empty endpoint in list: " + text);
+    for (const std::string_view item : text::split(text, ',')) {
+        // Blanks may pad an entry ("9001, 9002"), never split one.
+        const auto tokens = text::split_blanks(item);
+        FPM_CHECK(tokens.size() == 1, "malformed endpoint in list: " + text);
+        const std::string_view entry = tokens[0];
         Endpoint endpoint;
         const std::size_t colon = entry.rfind(':');
-        std::string port_text;
-        if (colon == std::string::npos) {
-            endpoint.host = default_host;
-            port_text = entry;
-        } else {
-            endpoint.host = entry.substr(0, colon);
+        std::string_view port_text = entry;
+        endpoint.host = default_host;
+        if (colon != std::string_view::npos) {
+            endpoint.host = std::string(entry.substr(0, colon));
             port_text = entry.substr(colon + 1);
             FPM_CHECK(!endpoint.host.empty(),
-                      "empty host in endpoint: " + entry);
+                      "empty host in endpoint: " + std::string(entry));
         }
-        errno = 0;
-        char* end = nullptr;
-        const long port = std::strtol(port_text.c_str(), &end, 10);
-        FPM_CHECK(end != port_text.c_str() && *end == '\0' && errno == 0 &&
-                      port > 0 && port <= 65535,
-                  "malformed port in endpoint: " + entry);
-        endpoint.port = static_cast<std::uint16_t>(port);
+        const auto port = text::to_number<std::uint16_t>(port_text);
+        FPM_CHECK(port && *port > 0,
+                  "malformed port in endpoint: " + std::string(entry));
+        endpoint.port = *port;
         endpoints.push_back(std::move(endpoint));
-        if (comma == std::string::npos) {
-            break;
-        }
-        start = comma + 1;
     }
     FPM_CHECK(!endpoints.empty(), "empty endpoint list");
     return endpoints;

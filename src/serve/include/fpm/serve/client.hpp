@@ -39,8 +39,9 @@
 namespace fpm::serve {
 
 /// Parses a comma-separated endpoint list: each entry is `host:port` or
-/// a bare `port` (which gets `default_host`).  Throws fpm::Error on an
-/// empty list, a malformed port or an empty host.
+/// a bare `port` (which gets `default_host`), optionally padded with
+/// blanks.  Throws fpm::Error on an empty list or entry, a port that is
+/// not a decimal in [1, 65535] or an empty host.
 [[nodiscard]] std::vector<Endpoint>
 parse_endpoint_list(const std::string& text, const std::string& default_host);
 

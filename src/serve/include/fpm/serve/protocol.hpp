@@ -21,7 +21,11 @@
 /// human diagnosis.  Doubles travel as 17 significant digits (%.17g):
 /// not the shortest form, but enough that every double round-trips
 /// bit-for-bit, so a partition reply decoded by the client compares
-/// equal to the direct library call.  kProtocolVersion is the single revision
+/// equal to the direct library call.  Both decoders read tokens and
+/// numbers through fpm/common/text.hpp, over views of the line: a
+/// number is the whole token, with no `+`, no `0x` and no blanks, and
+/// an integer or double out of range is malformed.  FEEDBACK's `<x>`
+/// and `<seconds>` must also be finite.  kProtocolVersion is the single revision
 /// constant: PING carries it, ServeClient::ping() enforces it, and
 /// nothing else restates it.
 ///
@@ -63,8 +67,8 @@ inline constexpr int kProtocolVersion = 6;
 /// A request message.  decode() parses a wire line and classifies its
 /// own failures: it throws ServiceError, kUnsupportedVerb for an unknown
 /// verb and kBadRequest for anything else malformed (arity, numbers,
-/// n outside [1, part::kMaxN]); encode() renders the line the client
-/// sends.
+/// n outside [1, part::kMaxN], a FEEDBACK value that is not finite);
+/// encode() renders the line the client sends.
 struct Request {
     enum class Kind { kPing, kLoad, kPartition, kFeedback, kModels, kStats,
                       kHealth, kQuit };
@@ -76,7 +80,7 @@ struct Request {
     std::string path;            ///< kLoad: model CSV path
 
     [[nodiscard]] std::string encode() const;
-    [[nodiscard]] static Request decode(const std::string& line);
+    [[nodiscard]] static Request decode(std::string_view line);
 };
 
 /// Payload of an `OK PARTITION` response.
@@ -272,7 +276,7 @@ struct Response {
     FeedbackReply feedback;            ///< kFeedback
 
     [[nodiscard]] std::string encode() const;
-    [[nodiscard]] static Response decode(const std::string& line);
+    [[nodiscard]] static Response decode(std::string_view line);
 
     /// Typed error; an empty `message` means the reply carries the code
     /// token alone (`ERR busy`), which is also how it decodes.

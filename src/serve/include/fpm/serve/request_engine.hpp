@@ -14,11 +14,11 @@
 /// per-algorithm obs::Histogram, surfaced through stats() and the STATS
 /// wire command.
 ///
-/// When Options::degraded is on (the default) the engine keeps serving
-/// through disturbances instead of failing hard: a request whose model
-/// set vanished, whose compute failed (e.g. a serve.compute fault
-/// injection), or whose coalesced leader blew Options::coalesce_deadline
-/// is answered from the *stale-plan cache* — the last plan computed for
+/// The engine keeps serving through disturbances instead of failing
+/// hard: a request whose model set vanished, whose compute failed (e.g.
+/// a serve.compute fault injection), or whose coalesced leader blew
+/// Options::coalesce_deadline is answered from the *stale-plan cache* —
+/// the last plan computed for
 /// the same (set name, n, algorithm, layout), surviving reloads that
 /// change the content fingerprint — or, failing that, from a
 /// constant-performance fallback (Algorithm::kEven even split), which
@@ -118,9 +118,6 @@ public:
         /// so concurrent cache probes from N reactors do not serialize on
         /// one mutex; 1 keeps the exact single-LRU semantics.
         std::size_t cache_shards = 1;
-        /// Serve stale/fallback plans instead of failing when the model
-        /// is missing or a compute fails (see file comment).
-        bool degraded = true;
         /// Seconds a coalesced waiter waits for its leader before
         /// degrading (<= 0: wait forever, prior behaviour).
         double coalesce_deadline = 0.0;
@@ -224,7 +221,7 @@ private:
     /// Degraded answer for `request`: stale plan first, else an even
     /// split over `set` (pass nullptr when no snapshot is available —
     /// then only the stale path can serve).  nullopt when degradation is
-    /// disabled or impossible; the caller surfaces the original error.
+    /// impossible; the caller surfaces the original error.
     [[nodiscard]] std::optional<PartitionResponse>
     degrade(const PartitionRequest& request, const ModelSet* set,
             double elapsed_seconds);

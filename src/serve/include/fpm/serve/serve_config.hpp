@@ -7,7 +7,8 @@
 /// admits, when it evicts idle peers, how long stop() drains, and the
 /// deadlines a client applies to connect and I/O.  Engine-side knobs
 /// (workers, cache capacity) stay on RequestEngine::Options — they size
-/// compute, not transport.
+/// compute, not transport — and the durable store's on
+/// store::StoreOptions.
 #pragma once
 
 #include <cstdint>
@@ -62,21 +63,6 @@ struct ServeConfig {
     /// Seed for the deterministic per-request jitter stream (xor'd with
     /// the request fingerprint, so identical configs replay exactly).
     std::uint64_t retry_seed = 0;
-
-    // -- durable model store (off by default) -------------------------
-    /// Directory of the write-ahead log + snapshot store (fpm::store).
-    /// Empty disables durability entirely: published models live only in
-    /// RAM, as prior releases did.  fpmpart_serve recovers the registry
-    /// from this directory before serving and logs every publish to it.
-    std::string store_dir = "";
-    /// WAL durability: "always" fdatasyncs every publish record before
-    /// the publish is acknowledged (crash loses nothing acknowledged);
-    /// "never" leaves flushing to the OS (bounded loss, no fsync stall).
-    std::string fsync_policy = "always";
-    /// Publishes between automatic compacted snapshots (WAL rotation +
-    /// segment GC); 0 disables auto-snapshots — the final snapshot at
-    /// graceful stop still happens.
-    std::uint64_t snapshot_every = 8;
 };
 
 } // namespace fpm::serve

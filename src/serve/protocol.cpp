@@ -1,18 +1,18 @@
 #include "fpm/serve/protocol.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cinttypes>
 #include <concepts>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <type_traits>
 #include <variant>
 
 #include "fpm/common/error.hpp"
+#include "fpm/common/text.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/serve/reactor_metrics.hpp"
 #include "fpm/serve/repl_status.hpp"
@@ -21,60 +21,25 @@ namespace fpm::serve {
 
 namespace {
 
-std::vector<std::string> tokenize(const std::string& line) {
-    std::vector<std::string> tokens;
-    std::istringstream stream(line);
-    std::string token;
-    while (stream >> token) {
-        tokens.push_back(token);
-    }
-    return tokens;
-}
-
-std::string malformed(std::string_view what, const std::string& text) {
+std::string malformed(std::string_view what, std::string_view text) {
     std::string message = "malformed ";
     message.append(what).append(": ").append(text);
     return message;
 }
 
-std::int64_t parse_int(const std::string& text, std::string_view what) {
-    errno = 0;
-    char* end = nullptr;
-    const long long value = std::strtoll(text.c_str(), &end, 10);
-    FPM_CHECK(end != text.c_str() && *end == '\0' && errno == 0,
-              malformed(what, text));
-    return static_cast<std::int64_t>(value);
+/// `text` as a T (text::to_number; `base` for integers only), else a
+/// "malformed <what>" error.
+template <class T, class... Base>
+T number(std::string_view text, std::string_view what, Base... base) {
+    const std::optional<T> value = text::to_number<T>(text, base...);
+    FPM_CHECK(value.has_value(), malformed(what, text));
+    return *value;
 }
 
-/// strtoull alone would wrap "-1" to 2^64 - 1, so any '-' is rejected.
-std::uint64_t parse_u64(const std::string& text, std::string_view what) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-    FPM_CHECK(text.find('-') == std::string::npos && end != text.c_str() &&
-                  *end == '\0' && errno == 0,
-              malformed(what, text));
-    return static_cast<std::uint64_t>(value);
-}
-
-std::uint64_t parse_hex64(const std::string& text, std::string_view what) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 16);
-    FPM_CHECK(end != text.c_str() && *end == '\0' && errno == 0,
-              malformed(what, text));
-    return static_cast<std::uint64_t>(value);
-}
-
-/// Overflow is malformed; underflow is not (strtod flags a subnormal
-/// with ERANGE, but still returns it exactly, and %.17g emits them).
-double parse_double(const std::string& text, std::string_view what) {
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    FPM_CHECK(end != text.c_str() && *end == '\0' &&
-                  (errno == 0 || std::isfinite(value)),
-              malformed(what, text));
+/// number<double>() that also rejects inf and nan.
+double finite(std::string_view text, std::string_view what) {
+    const double value = number<double>(text, what);
+    FPM_CHECK(std::isfinite(value), malformed(what, text));
     return value;
 }
 
@@ -108,23 +73,32 @@ std::string sanitize(const std::string& message) {
     return clean;
 }
 
-/// Splits `token` at the first '=' and checks the key.
-std::string expect_kv(const std::string& token, const char* key) {
-    const auto eq = token.find('=');
-    FPM_CHECK(eq != std::string::npos &&
-                  token.compare(0, eq, key) == 0,
-              std::string("expected ") + key + "=..., got: " + token);
-    return token.substr(eq + 1);
+/// The value of `token`, which must read `key=<value>`.
+std::string_view expect_kv(std::string_view token, std::string_view key) {
+    FPM_CHECK(token.size() > key.size() && token.starts_with(key) &&
+                  token[key.size()] == '=',
+              "expected " + std::string(key) + "=..., got: " +
+                  std::string(token));
+    return token.substr(key.size() + 1);
 }
 
-std::vector<std::string> split(const std::string& text, char sep) {
-    std::vector<std::string> parts;
-    std::string part;
-    std::istringstream stream(text);
-    while (std::getline(stream, part, sep)) {
-        parts.push_back(part);
+/// `text` as a T: a string verbatim, a bool as an integer (non-zero is
+/// true), else a number.
+template <class T>
+T value_as(std::string_view text, std::string_view what) {
+    if constexpr (std::is_same_v<T, std::string>) {
+        return std::string(text);
+    } else if constexpr (std::is_same_v<T, bool>) {
+        return number<std::int64_t>(text, what) != 0;
+    } else {
+        return number<T>(text, what);
     }
-    return parts;
+}
+
+/// The value of `token`, which must read `key=<value>`, as a T.
+template <class T>
+T kv(std::string_view token, std::string_view key) {
+    return value_as<T>(expect_kv(token, key), key);
 }
 
 // ---------------------------------------------------------------------------
@@ -264,19 +238,11 @@ void append_value(std::string& out, const T& value) {
 }
 
 template <class T>
-void parse_value(const std::string& text, std::string_view name, T& slot) {
-    if constexpr (std::is_same_v<T, bool>) {
-        slot = parse_int(text, name) != 0;
-    } else if constexpr (std::is_same_v<T, std::string>) {
+void parse_value(std::string_view text, std::string_view name, T& slot) {
+    if constexpr (std::is_same_v<T, std::string>) {
         FPM_CHECK(!text.empty(), malformed(name, text));
-        slot = text;
-    } else if constexpr (std::is_same_v<T, double>) {
-        slot = parse_double(text, name);
-    } else if constexpr (std::is_signed_v<T>) {
-        slot = parse_int(text, name);
-    } else {
-        slot = parse_u64(text, name);
     }
+    slot = value_as<T>(text, name);
 }
 
 /// Appends ` name=value` for every row, then the verbatim extras.
@@ -382,10 +348,10 @@ std::string Request::encode() const {
     throw Error("unencodable request");
 }
 
-Request Request::decode(const std::string& line) try {
-    const auto tokens = tokenize(line);
+Request Request::decode(std::string_view line) try {
+    const auto tokens = text::split_blanks(line);
     FPM_CHECK(!tokens.empty(), "empty request");
-    const std::string& verb = tokens[0];
+    const std::string_view verb = tokens[0];
 
     Request request;
     if (verb == "PING") {
@@ -406,49 +372,51 @@ Request Request::decode(const std::string& line) try {
     } else if (verb == "LOAD") {
         FPM_CHECK(tokens.size() == 3, "usage: LOAD <name> <path>");
         request.kind = Kind::kLoad;
-        request.name = tokens[1];
-        request.path = tokens[2];
+        request.name = std::string(tokens[1]);
+        request.path = std::string(tokens[2]);
     } else if (verb == "PARTITION") {
         FPM_CHECK(tokens.size() == 4 || tokens.size() == 5,
                   "usage: PARTITION <model> <n> <fpm|cpm|even> [nolayout]");
         request.kind = Kind::kPartition;
-        request.partition.model_set = tokens[1];
-        request.partition.n = parse_int(tokens[2], "workload size");
+        request.partition.model_set = std::string(tokens[1]);
+        request.partition.n = number<std::int64_t>(tokens[2], "workload size");
         FPM_CHECK(request.partition.n > 0, "workload size must be positive");
         if (request.partition.n > part::kMaxN) {
             throw ServiceError(ErrorCode::kBadRequest,
-                               "workload size " + tokens[2] + " exceeds " +
+                               "workload size " + std::string(tokens[2]) +
+                                   " exceeds " +
                                    std::to_string(part::kMaxN) +
                                    " (n*n must be exact in a double)");
         }
         const auto algorithm = part::parse_algorithm(tokens[3]);
-        FPM_CHECK(algorithm.has_value(), "unknown algorithm: " + tokens[3]);
+        FPM_CHECK(algorithm.has_value(),
+                  "unknown algorithm: " + std::string(tokens[3]));
         request.partition.algorithm = *algorithm;
         if (tokens.size() == 5) {
             FPM_CHECK(tokens[4] == "nolayout",
-                      "unknown PARTITION option: " + tokens[4]);
+                      "unknown PARTITION option: " + std::string(tokens[4]));
             request.partition.with_layout = false;
         }
     } else if (verb == "FEEDBACK") {
         FPM_CHECK(tokens.size() == 5,
                   "usage: FEEDBACK <model> <device> <size> <seconds>");
         request.kind = Kind::kFeedback;
-        request.feedback.model_set = tokens[1];
-        request.feedback.device = parse_int(tokens[2], "device index");
+        request.feedback.model_set = std::string(tokens[1]);
+        request.feedback.device =
+            number<std::int64_t>(tokens[2], "device index");
         FPM_CHECK(request.feedback.device >= 0,
                   "device index must be non-negative");
-        request.feedback.problem_size =
-            parse_double(tokens[3], "problem size");
+        request.feedback.problem_size = finite(tokens[3], "problem size");
         FPM_CHECK(request.feedback.problem_size > 0.0,
                   "problem size must be positive");
-        request.feedback.seconds = parse_double(tokens[4], "measured time");
+        request.feedback.seconds = finite(tokens[4], "measured time");
         FPM_CHECK(request.feedback.seconds > 0.0,
                   "measured time must be positive");
     } else {
         // Typed so the wire answer is `ERR unsupported_verb ...` — the
         // code a newer client probes for when feature-detecting verbs.
         throw ServiceError(ErrorCode::kUnsupportedVerb,
-                           "unknown command: " + verb);
+                           "unknown command: " + std::string(verb));
     }
     return request;
 } catch (const ServiceError&) {
@@ -569,82 +537,80 @@ std::string Response::encode() const {
     throw Error("unencodable response");
 }
 
-Response Response::decode(const std::string& line) {
+Response Response::decode(std::string_view line) {
     if (line == "ERR") {
         return make_error(ErrorCode::kInternal, {});  // token text, never empty
     }
     Response response;
     if (line.starts_with("ERR ")) {
         response.kind = Kind::kError;
-        const std::string body =
-            line.size() > 4 ? line.substr(4) : std::string{};
+        const std::string_view body = line.substr(4);
         // The first token is an ErrorCode token.  Anything else decodes
         // as kInternal with the whole body kept as the message.
         const auto space = body.find(' ');
-        const std::string head = body.substr(0, space);
-        response.error = body;
-        if (const auto code = parse_error_token(head)) {
+        response.error = std::string(body);
+        if (const auto code = parse_error_token(body.substr(0, space))) {
             response.error_code = *code;
-            if (space != std::string::npos) {
-                response.error = body.substr(space + 1);
+            if (space != std::string_view::npos) {
+                response.error = std::string(body.substr(space + 1));
             }  // else the token alone; never empty
         }
         return response;
     }
-    const auto tokens = tokenize(line);
+    const auto tokens = text::split_blanks(line);
+    const auto malformed_reply = [line](std::string_view what) {
+        return "malformed " + std::string(what) + ": " + std::string(line);
+    };
     FPM_CHECK(tokens.size() >= 2 && tokens[0] == "OK",
-              "malformed response: " + line);
-    const std::string& tag = tokens[1];
+              malformed_reply("response"));
+    const std::string_view tag = tokens[1];
 
     if (tag == "PONG") {
         FPM_CHECK(tokens.size() == 3 && tokens[2].size() > 1 &&
                       tokens[2][0] == 'v',
-                  "malformed PONG reply: " + line);
+                  malformed_reply("PONG reply"));
         response.kind = Kind::kPong;
         response.version = static_cast<int>(
-            parse_int(tokens[2].substr(1), "protocol version"));
+            number<std::int64_t>(tokens[2].substr(1), "protocol version"));
     } else if (tag == "BYE") {
-        FPM_CHECK(tokens.size() == 2, "malformed BYE reply: " + line);
+        FPM_CHECK(tokens.size() == 2, malformed_reply("BYE reply"));
         response.kind = Kind::kBye;
     } else if (tag == "LOADED") {
-        FPM_CHECK(tokens.size() == 6, "malformed LOADED reply: " + line);
+        FPM_CHECK(tokens.size() == 6, malformed_reply("LOADED reply"));
         response.kind = Kind::kLoaded;
-        response.loaded.name = expect_kv(tokens[2], "name");
-        response.loaded.models =
-            parse_u64(expect_kv(tokens[3], "models"), "model count");
-        response.loaded.generation =
-            parse_u64(expect_kv(tokens[4], "gen"), "generation");
-        response.loaded.fingerprint =
-            parse_hex64(expect_kv(tokens[5], "fingerprint"), "fingerprint");
+        response.loaded.name = kv<std::string>(tokens[2], "name");
+        response.loaded.models = kv<std::uint64_t>(tokens[3], "models");
+        response.loaded.generation = kv<std::uint64_t>(tokens[4], "gen");
+        response.loaded.fingerprint = number<std::uint64_t>(
+            expect_kv(tokens[5], "fingerprint"), "fingerprint", 16);
     } else if (tag == "MODELS") {
-        FPM_CHECK(tokens.size() == 4, "malformed MODELS reply: " + line);
+        FPM_CHECK(tokens.size() == 4, malformed_reply("MODELS reply"));
         response.kind = Kind::kModels;
-        const std::uint64_t count =
-            parse_u64(expect_kv(tokens[2], "count"), "set count");
-        const std::string sets_text = expect_kv(tokens[3], "sets");
+        const auto count = kv<std::uint64_t>(tokens[2], "count");
+        const std::string_view sets_text = expect_kv(tokens[3], "sets");
         if (sets_text != "-") {
-            for (const auto& entry : split(sets_text, ',')) {
-                const auto fields = split(entry, ':');
+            for (const std::string_view entry : text::split(sets_text, ',')) {
+                const auto fields = text::split(entry, ':');
                 FPM_CHECK(fields.size() == 3,
-                          "malformed model-set entry: " + entry);
-                ModelSetInfo info;
-                info.name = fields[0];
-                info.generation = parse_u64(fields[1], "generation");
-                info.models = parse_u64(fields[2], "model count");
-                response.sets.push_back(std::move(info));
+                          malformed("model-set entry", entry));
+                response.sets.push_back(ModelSetInfo{
+                    std::string(fields[0]),
+                    number<std::uint64_t>(fields[1], "generation"),
+                    number<std::uint64_t>(fields[2], "model count")});
             }
         }
         FPM_CHECK(response.sets.size() == count,
-                  "MODELS count disagrees with its set list: " + line);
+                  "MODELS count disagrees with its set list: " +
+                      std::string(line));
     } else if (tag == "STATS" || tag == "HEALTH") {
         // Open key=value lists: unknown keys land in `extras`.
         std::vector<StatField> fields;
         for (std::size_t i = 2; i < tokens.size(); ++i) {
             const auto eq = tokens[i].find('=');
-            FPM_CHECK(eq != std::string::npos && eq > 0,
-                      "malformed " + tag + " field: " + tokens[i]);
-            fields.push_back(
-                {tokens[i].substr(0, eq), tokens[i].substr(eq + 1)});
+            FPM_CHECK(eq != std::string_view::npos && eq > 0,
+                      malformed(std::string(tag) + " field", tokens[i]));
+            fields.push_back({std::string(tokens[i].substr(0, eq)),
+                              std::string(tokens[i].substr(eq + 1))});
         }
         if (tag == "STATS") {
             response.kind = Kind::kStats;
@@ -654,61 +620,52 @@ Response Response::decode(const std::string& line) {
             response.health = ServerHealth::from_fields(fields);
         }
     } else if (tag == "PARTITION") {
-        FPM_CHECK(tokens.size() == 14, "malformed partition reply: " + line);
+        FPM_CHECK(tokens.size() == 14, malformed_reply("partition reply"));
         response.kind = Kind::kPartition;
         PartitionReply& parsed = response.partition;
-        parsed.model = expect_kv(tokens[2], "model");
-        parsed.generation =
-            parse_u64(expect_kv(tokens[3], "gen"), "generation");
-        parsed.n = parse_int(expect_kv(tokens[4], "n"), "n");
+        parsed.model = kv<std::string>(tokens[2], "model");
+        parsed.generation = kv<std::uint64_t>(tokens[3], "gen");
+        parsed.n = kv<std::int64_t>(tokens[4], "n");
         const auto algorithm =
             part::parse_algorithm(expect_kv(tokens[5], "algo"));
-        FPM_CHECK(algorithm.has_value(),
-                  "malformed algorithm in reply: " + line);
+        FPM_CHECK(algorithm.has_value(), malformed_reply("algorithm in reply"));
         parsed.algorithm = *algorithm;
-        parsed.cached =
-            parse_int(expect_kv(tokens[6], "cached"), "cached") != 0;
-        parsed.coalesced =
-            parse_int(expect_kv(tokens[7], "coalesced"), "coalesced") != 0;
-        parsed.degraded =
-            parse_int(expect_kv(tokens[8], "degraded"), "degraded") != 0;
-        parsed.balanced_time =
-            parse_double(expect_kv(tokens[9], "balanced"), "balanced time");
-        parsed.makespan =
-            parse_double(expect_kv(tokens[10], "makespan"), "makespan");
-        parsed.comm_cost = parse_int(expect_kv(tokens[11], "comm"), "comm cost");
-        for (const auto& cell : split(expect_kv(tokens[12], "blocks"), ',')) {
-            parsed.blocks.push_back(parse_int(cell, "block count"));
+        parsed.cached = kv<bool>(tokens[6], "cached");
+        parsed.coalesced = kv<bool>(tokens[7], "coalesced");
+        parsed.degraded = kv<bool>(tokens[8], "degraded");
+        parsed.balanced_time = kv<double>(tokens[9], "balanced");
+        parsed.makespan = kv<double>(tokens[10], "makespan");
+        parsed.comm_cost = kv<std::int64_t>(tokens[11], "comm");
+        for (const std::string_view cell :
+             text::split(expect_kv(tokens[12], "blocks"), ',')) {
+            parsed.blocks.push_back(number<std::int64_t>(cell, "block count"));
         }
-        const std::string layout_text = expect_kv(tokens[13], "layout");
+        const std::string_view layout_text = expect_kv(tokens[13], "layout");
         if (layout_text != "-") {
-            for (const auto& rect_text : split(layout_text, '|')) {
-                const auto fields = split(rect_text, ':');
-                FPM_CHECK(fields.size() == 4, "malformed rect: " + rect_text);
-                part::Rect rect;
-                rect.col0 = parse_int(fields[0], "rect col0");
-                rect.row0 = parse_int(fields[1], "rect row0");
-                rect.w = parse_int(fields[2], "rect w");
-                rect.h = parse_int(fields[3], "rect h");
-                parsed.rects.push_back(rect);
+            for (const std::string_view rect_text :
+                 text::split(layout_text, '|')) {
+                const auto fields = text::split(rect_text, ':');
+                FPM_CHECK(fields.size() == 4, malformed("rect", rect_text));
+                parsed.rects.push_back(part::Rect{
+                    number<std::int64_t>(fields[0], "rect col0"),
+                    number<std::int64_t>(fields[1], "rect row0"),
+                    number<std::int64_t>(fields[2], "rect w"),
+                    number<std::int64_t>(fields[3], "rect h")});
             }
         }
     } else if (tag == "FEEDBACK") {
-        FPM_CHECK(tokens.size() == 9, "malformed FEEDBACK reply: " + line);
+        FPM_CHECK(tokens.size() == 9, malformed_reply("FEEDBACK reply"));
         response.kind = Kind::kFeedback;
         FeedbackReply& parsed = response.feedback;
-        parsed.model_set = expect_kv(tokens[2], "set");
-        parsed.device = parse_int(expect_kv(tokens[3], "device"), "device");
-        parsed.samples =
-            parse_u64(expect_kv(tokens[4], "samples"), "sample count");
-        parsed.reliable =
-            parse_int(expect_kv(tokens[5], "reliable"), "reliable") != 0;
-        parsed.drift = parse_int(expect_kv(tokens[6], "drift"), "drift") != 0;
-        parsed.republished =
-            parse_int(expect_kv(tokens[7], "republished"), "republished") != 0;
-        parsed.version = parse_u64(expect_kv(tokens[8], "version"), "version");
+        parsed.model_set = kv<std::string>(tokens[2], "set");
+        parsed.device = kv<std::int64_t>(tokens[3], "device");
+        parsed.samples = kv<std::uint64_t>(tokens[4], "samples");
+        parsed.reliable = kv<bool>(tokens[5], "reliable");
+        parsed.drift = kv<bool>(tokens[6], "drift");
+        parsed.republished = kv<bool>(tokens[7], "republished");
+        parsed.version = kv<std::uint64_t>(tokens[8], "version");
     } else {
-        throw Error("unknown response tag: " + tag);
+        throw Error("unknown response tag: " + std::string(tag));
     }
     return response;
 }

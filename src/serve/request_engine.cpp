@@ -94,9 +94,6 @@ PlanKey RequestEngine::stale_key(const PartitionRequest& request) {
 std::optional<PartitionResponse>
 RequestEngine::degrade(const PartitionRequest& request, const ModelSet* set,
                        double elapsed_seconds) {
-    if (!options_.degraded) {
-        return std::nullopt;
-    }
     std::shared_ptr<const PartitionPlan> plan;
     {
         std::lock_guard lock(inflight_mutex_);

@@ -10,10 +10,12 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "fpm/common/error.hpp"
+#include "fpm/common/text.hpp"
 #include "fpm/core/model_io.hpp"
 #include "fpm/fault/fault.hpp"
 #include "fpm/obs/metrics.hpp"
@@ -51,22 +53,16 @@ std::string fingerprint_hex(std::uint64_t fingerprint) {
 }
 
 /// Extracts the numeric infix of `wal-NNNNNN.log` / `snapshot-NNN.fpms`
-/// file names; returns false for anything else in the directory.
-bool parse_numbered_name(const std::string& name, std::string_view prefix,
-                         std::string_view suffix, std::uint64_t& value) {
+/// file names; nullopt for anything else in the directory.
+std::optional<std::uint64_t> parse_numbered_name(std::string_view name,
+                                                 std::string_view prefix,
+                                                 std::string_view suffix) {
     if (name.size() <= prefix.size() + suffix.size() ||
-        name.compare(0, prefix.size(), prefix) != 0 ||
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-        return false;
+        !name.starts_with(prefix) || !name.ends_with(suffix)) {
+        return std::nullopt;
     }
-    const std::string digits =
-        name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-        return false;
-    }
-    value = std::strtoull(digits.c_str(), nullptr, 10);
-    return true;
+    return text::to_number<std::uint64_t>(name.substr(
+        prefix.size(), name.size() - prefix.size() - suffix.size()));
 }
 
 void write_file_durably(const std::string& path, const std::string& contents) {
@@ -112,15 +108,20 @@ PublishRecord decode_publish_record(const std::string& payload,
     std::string header;
     FPM_CHECK(std::getline(in, header),
               origin + ": empty publish record");
-    std::istringstream fields(header);
-    std::string verb;
-    std::string fingerprint;
-    PublishRecord record;
-    fields >> verb >> record.name >> record.generation >> fingerprint;
-    FPM_CHECK(verb == "publish" && !record.name.empty() &&
-                  record.generation > 0 && fingerprint.size() == 16,
+    // publish <name> <generation> <fingerprint as 16 hex digits>
+    const auto fields = text::split_blanks(header);
+    const bool shaped = fields.size() == 4 && fields[0] == "publish" &&
+                        fields[3].size() == 16;
+    const auto generation =
+        shaped ? text::to_number<std::uint64_t>(fields[2]) : std::nullopt;
+    const auto fingerprint =
+        shaped ? text::to_number<std::uint64_t>(fields[3], 16) : std::nullopt;
+    FPM_CHECK(generation && *generation > 0 && fingerprint,
               origin + ": malformed publish header '" + header + "'");
-    record.fingerprint = std::strtoull(fingerprint.c_str(), nullptr, 16);
+    PublishRecord record;
+    record.name = std::string(fields[1]);
+    record.generation = *generation;
+    record.fingerprint = *fingerprint;
     record.models = core::read_speed_functions(in, origin);
 
     // The CRC already guards against bit rot; the fingerprint check
@@ -187,14 +188,14 @@ RecoveryReport ModelStore::recover(serve::ModelRegistry& registry) {
     std::vector<std::uint64_t> segments;
     for (const auto& entry : fs::directory_iterator(dir_)) {
         const std::string name = entry.path().filename().string();
-        std::uint64_t value = 0;
         if (name.size() > 4 && name.ends_with(".tmp")) {
             std::error_code ec;
             fs::remove(entry.path(), ec);
-        } else if (parse_numbered_name(name, "snapshot-", ".fpms", value)) {
-            snapshots.push_back(value);
-        } else if (parse_numbered_name(name, "wal-", ".log", value)) {
-            segments.push_back(value);
+        } else if (const auto generation =
+                       parse_numbered_name(name, "snapshot-", ".fpms")) {
+            snapshots.push_back(*generation);
+        } else if (const auto id = parse_numbered_name(name, "wal-", ".log")) {
+            segments.push_back(*id);
         }
     }
     std::sort(snapshots.rbegin(), snapshots.rend());
@@ -212,24 +213,23 @@ RecoveryReport ModelStore::recover(serve::ModelRegistry& registry) {
             const ReplayResult replay = replay_wal(path, /*repair=*/false);
             FPM_CHECK(replay.truncated_bytes == 0 && !replay.payloads.empty(),
                       "torn snapshot");
-            std::istringstream header(replay.payloads.front());
-            std::string magic;
-            std::string version;
-            std::string next_field;
-            std::string sets_field;
-            header >> magic >> version >> next_field >> sets_field;
-            FPM_CHECK(magic == kSnapshotMagic && version == kSnapshotVersion &&
-                          next_field.starts_with("next=") &&
-                          sets_field.starts_with("sets="),
+            // fpmstore v1 next=<generation> sets=<count>
+            const auto fields = text::split_blanks(replay.payloads.front());
+            const auto count = [&fields](std::size_t i, std::string_view key) {
+                return fields.size() == 4 && fields[i].starts_with(key)
+                           ? text::to_number<std::uint64_t>(
+                                 fields[i].substr(key.size()))
+                           : std::nullopt;
+            };
+            const auto next = count(2, "next=");
+            const auto sets = count(3, "sets=");
+            FPM_CHECK(next && sets && fields[0] == kSnapshotMagic &&
+                          fields[1] == kSnapshotVersion,
                       "malformed snapshot header");
-            const std::uint64_t next =
-                std::strtoull(next_field.c_str() + 5, nullptr, 10);
-            const std::uint64_t sets =
-                std::strtoull(sets_field.c_str() + 5, nullptr, 10);
-            FPM_CHECK(replay.payloads.size() == sets + 1,
+            FPM_CHECK(replay.payloads.size() == *sets + 1,
                       "snapshot holds " +
                           std::to_string(replay.payloads.size() - 1) +
-                          " sets, header promises " + std::to_string(sets));
+                          " sets, header promises " + std::to_string(*sets));
 
             std::map<std::string, PublishRecord> restored;
             for (std::size_t i = 1; i < replay.payloads.size(); ++i) {
@@ -241,7 +241,7 @@ RecoveryReport ModelStore::recover(serve::ModelRegistry& registry) {
                 restored[std::move(name)] = std::move(record);
             }
             mirror = std::move(restored);
-            next_generation = std::max<std::uint64_t>(next, 1);
+            next_generation = std::max<std::uint64_t>(*next, 1);
             report.snapshot_generation = generation;
             snapshot_generation = generation;
             break;

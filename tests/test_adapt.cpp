@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -152,6 +153,13 @@ TEST(AdaptIngestor, RejectsNonsenseSamplesAndConfig) {
     EXPECT_THROW(ingestor.add(-1, 100.0, 1.0), Error);
     EXPECT_THROW(ingestor.add(0, 0.0, 1.0), Error);
     EXPECT_THROW(ingestor.add(0, 100.0, 0.0), Error);
+    // floor(log(x) / log1p(r)) of an infinite x does not fit the region's
+    // int64_t, and x / seconds of a subnormal time is infinite.
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(ingestor.add(0, inf, 1.0), Error);
+    EXPECT_THROW(ingestor.add(0, 16.0, inf), Error);
+    EXPECT_THROW(ingestor.add(0, 16.0, 1e-320), Error);
+    EXPECT_THROW(ingestor.add(0, std::nan(""), 1.0), Error);
 
     AdaptConfig bad;
     bad.min_samples = 5;
@@ -450,6 +458,15 @@ TEST(AdaptEngineTest, RejectsUnknownSetsAndBadDevices) {
     EXPECT_THROW((void)adapter.ingest({"missing", 0, 100.0, 1.0}), Error);
     EXPECT_THROW((void)adapter.ingest({"hybrid", 2, 100.0, 1.0}), Error);
     EXPECT_THROW((void)adapter.ingest({"hybrid", 0, -5.0, 1.0}), Error);
+    // A speed x / seconds that is not finite and positive is rejected
+    // before any state changes (decode already rejects a non-finite x
+    // or time; a subnormal time decodes).
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::uint64_t samples = adapter.stats().samples;  // process-wide
+    EXPECT_THROW((void)adapter.ingest({"hybrid", 0, inf, 1.0}), Error);
+    EXPECT_THROW((void)adapter.ingest({"hybrid", 0, 16.0, inf}), Error);
+    EXPECT_THROW((void)adapter.ingest({"hybrid", 0, 16.0, 1e-320}), Error);
+    EXPECT_EQ(adapter.stats().samples, samples);
 }
 
 // ---------------------------------------------------------------------------

@@ -114,6 +114,11 @@ TEST(FaultPlanParse, RejectsMalformedSpecs) {
         "a=0.5:delay:12x",        // non-numeric ms
         "a=0.5:delay:99999999",   // > 60 s
         "seed=abc",               // non-numeric seed
+        "seed=18446744073709551616",           // past 2^64 - 1
+        "a=1:delay:18446744073709551617",      // wraps to 1 ms modulo 2^64
+        "a=+0.5",                 // numbers take no '+'
+        "a=0.5:delay:+5",
+        "a=0x1p-1",               // nor hex floats
     };
     for (const std::string& spec : bad) {
         EXPECT_THROW((void)fault::FaultPlan::parse(spec), fpm::Error)
@@ -271,7 +276,6 @@ TEST(FaultDegraded, CoalescedWaiterDegradesPastDeadline) {
     RequestEngine engine(registry,
                          {.workers = 2,
                           .cache_capacity = 16,
-                          .degraded = true,
                           .coalesce_deadline = 0.05});
     const PartitionRequest request{"hybrid", 56, Algorithm::kFpm, true};
 

@@ -115,6 +115,14 @@ TEST_F(ModelIoTest, MalformedRowThrows) {
     EXPECT_THROW(load_speed_functions_csv(path_), fpm::Error);
     write_file("name,max_problem,x,speed\ndev,inf,abc,5\n");
     EXPECT_THROW(load_speed_functions_csv(path_), fpm::Error);
+    // A number is the whole cell: no blanks, no '+', no hex, no extra cell.
+    for (const char* row : {"dev,inf, 10,5", "dev,inf,10 ,5", "dev,inf,+10,5",
+                            "dev,inf,0x10,5", "dev,inf,10,5,"}) {
+        write_file(std::string("name,max_problem,x,speed\n") + row + "\n");
+        EXPECT_THROW((void)load_speed_functions_csv(path_), ParseError) << row;
+    }
+    write_file("fpmmodel v+2\nname,max_problem,x,speed\ndev,inf,10,5\n");
+    EXPECT_THROW((void)load_speed_functions_csv(path_), ParseError);
 }
 
 TEST_F(ModelIoTest, EmptyBodyThrows) {
@@ -129,6 +137,13 @@ TEST_F(ModelIoTest, InvalidPointsRejectedByModelInvariants) {
     // Duplicate x likewise.
     write_file("name,max_problem,x,speed\ndev,inf,10,5\ndev,inf,10,6\n");
     EXPECT_THROW(load_speed_functions_csv(path_), fpm::Error);
+    // So do non-finite points: an infinite speed or an x that overflows a
+    // double would load and then fail every partition of the set.
+    for (const char* row : {"dev,inf,10,inf", "dev,inf,1e999,5", "dev,inf,10,nan",
+                            "dev,inf,inf,5", "dev,inf,10,1e-400"}) {
+        write_file(std::string("name,max_problem,x,speed\n") + row + "\n");
+        EXPECT_THROW((void)load_speed_functions_csv(path_), ParseError) << row;
+    }
 }
 
 TEST_F(ModelIoTest, BlankLinesIgnored) {

@@ -157,6 +157,15 @@ TEST(ProtocolRequest, RejectsMalformedLines) {
         "FEEDBACK set 0 100 -2",     // negative time
         "FEEDBACK set zero 100 1.5", // non-numeric device
         "feedback set 0 100 1.5",
+        "FEEDBACK set 0 inf 1",      // non-finite size
+        "FEEDBACK set 0 16 inf",     // non-finite time
+        "FEEDBACK set 0 nan 1",
+        "FEEDBACK set 0 16 nan",
+        "FEEDBACK set 0 1e999 1",    // overflows a double
+        "FEEDBACK set 0 16 1e-400",  // underflows to zero
+        "PARTITION set +10 fpm",     // numbers take no '+'
+        "PARTITION set 0x10 fpm",    // nor a hex prefix
+        "FEEDBACK set 0 0x1p4 1",    // nor hex floats
     };
     for (const std::string& line : bad) {
         EXPECT_FALSE(request_decodes(line)) << "accepted: " << line;

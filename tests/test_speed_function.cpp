@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "fpm/core/speed_function.hpp"
 
@@ -58,6 +59,18 @@ TEST(SpeedFunction, Validation) {
     EXPECT_THROW(SpeedFunction({{0.0, 5.0}}), fpm::Error);     // x must be > 0
     EXPECT_THROW(SpeedFunction({{1.0, 0.0}}), fpm::Error);     // speed > 0
     EXPECT_THROW(SpeedFunction({{1.0, 5.0}, {1.0, 6.0}}), fpm::Error);  // dup x
+    // Points must be finite; an unbounded max_problem stays allowed.  The
+    // one constructor check covers LOAD, WAL replay, REPL frames,
+    // spliced() and scaled().
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(SpeedFunction({{10.0, inf}}), fpm::Error);
+    EXPECT_THROW(SpeedFunction({{inf, 5.0}}), fpm::Error);
+    EXPECT_THROW(SpeedFunction({{10.0, 5.0}, {std::nan(""), 6.0}}), fpm::Error);
+    EXPECT_THROW(SpeedFunction({{10.0, std::nan("")}}), fpm::Error);
+    EXPECT_THROW(SpeedFunction::constant(inf), fpm::Error);
+    EXPECT_THROW((void)ramp_function().scaled(1e308), fpm::Error);
+    EXPECT_THROW((void)ramp_function().spliced(50.0, inf), fpm::Error);
+    EXPECT_TRUE(std::isinf(SpeedFunction({{10.0, 5.0}}, "cpu", inf).max_problem()));
     const SpeedFunction fn = ramp_function();
     EXPECT_THROW(fn.speed(0.0), fpm::Error);
     EXPECT_THROW(fn.time(-1.0), fpm::Error);

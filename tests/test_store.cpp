@@ -617,6 +617,96 @@ TEST(ModelStoreTest, CorruptSnapshotFallsBackToTheOlderOneplusWal) {
 }
 
 // ---------------------------------------------------------------------------
+// Header parsing: WAL, snapshot and REPL bytes come from disk or a peer
+// ---------------------------------------------------------------------------
+
+/// `encoded` with its header line (up to the first newline) replaced.
+std::string with_header(const std::string& encoded, const std::string& header) {
+    return header + encoded.substr(encoded.find('\n'));
+}
+
+TEST(PublishRecordTest, HeaderNumbersAreStrict) {
+    PublishRecord record;
+    record.name = "alpha";
+    record.generation = 7;
+    record.models = synthetic_models(2, 8, 1.0);
+    record.fingerprint = serve::fingerprint_models(record.models);
+    const std::string encoded = encode_publish_record(record);
+    const std::string header = encoded.substr(0, encoded.find('\n'));
+    const std::string fingerprint = header.substr(header.rfind(' ') + 1);
+    ASSERT_EQ(decode_publish_record(encoded, "test").generation, 7u);
+
+    // `istringstream >> uint64_t` read "-1" as 2^64 - 1.
+    for (const std::string& bad :
+         {"publish alpha -1 " + fingerprint, "publish alpha +7 " + fingerprint,
+          "publish alpha 0 " + fingerprint,
+          "publish alpha 18446744073709551616 " + fingerprint,
+          "publish alpha 7 " + fingerprint + " extra",
+          "publish alpha 7 -" + fingerprint.substr(1),
+          "publish alpha 7 0x" + fingerprint.substr(2)}) {
+        EXPECT_THROW((void)decode_publish_record(with_header(encoded, bad),
+                                                 "test"),
+                     fpm::Error)
+            << bad;
+    }
+}
+
+/// Rewrites the header record of every snapshot in `dir` (re-framed, so
+/// the CRC is valid and only the header text is at fault).
+void rewrite_snapshot_headers(const std::string& dir, const std::string& header) {
+    for (const auto& entry : fs::directory_iterator(dir)) {
+        const std::string path = entry.path().string();
+        if (entry.path().filename().string().rfind("snapshot-", 0) != 0) {
+            continue;
+        }
+        const ReplayResult replay = replay_wal(path, /*repair=*/false);
+        std::string bytes = encode_frame(header);
+        for (std::size_t i = 1; i < replay.payloads.size(); ++i) {
+            bytes += encode_frame(replay.payloads[i]);
+        }
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    }
+}
+
+TEST(ModelStoreTest, MalformedSnapshotHeaderFallsBackToTheWal) {
+    // An unchecked strtoull read `next=abc` as 0, so recovery accepted
+    // the snapshot and restarted the generation counter at 1.
+    const std::string valid = "fpmstore v1 next=2 sets=1";
+    for (const std::string& header :
+         {valid, std::string("fpmstore v1 next=abc sets=1"),
+          std::string("fpmstore v1 next=-2 sets=1"),
+          std::string("fpmstore v1 next=2 sets=+1"),
+          std::string("fpmstore v1 next=2 sets=1 extra")}) {
+        TempDir dir;
+        std::uint64_t expected_fingerprint = 0;
+        {
+            ModelRegistry registry;
+            StoreOptions options;
+            options.snapshot_every = 0;
+            ModelStore store(dir.path, options);
+            store.recover(registry);
+            store.attach(registry);
+            registry.put("alpha", synthetic_models(2, 16, 1.0));
+            store.snapshot();  // snapshot at generation 1
+            registry.put("alpha", synthetic_models(2, 16, 2.0));
+            expected_fingerprint = registry.get("alpha")->fingerprint;
+            store.abandon();
+        }
+        rewrite_snapshot_headers(dir.path, header);
+        ModelRegistry recovered;
+        ModelStore store(dir.path);
+        const auto report = store.recover(recovered);
+        // Only the well-formed header keeps its snapshot.
+        EXPECT_EQ(report.snapshot_generation, header == valid ? 1u : 0u)
+            << header;
+        EXPECT_EQ(report.recovered_generation, 2u) << header;
+        EXPECT_EQ(recovered.get("alpha")->fingerprint, expected_fingerprint)
+            << header;
+        store.abandon();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The crash test: fork, publish N generations, SIGKILL, recover, and
 // serve bit-for-bit identical plans at the recovered generation.
 // ---------------------------------------------------------------------------

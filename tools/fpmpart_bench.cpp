@@ -25,10 +25,10 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "fpm/common/text.hpp"
 #include "fpm/loadgen/runner.hpp"
 #include "fpm/serve/client.hpp"
 #include "fpm/serve/server.hpp"
@@ -40,14 +40,12 @@ using fpm::loadgen::Report;
 
 bool parse_mix(const std::string& text, fpm::loadgen::WorkloadSpec* spec) {
     std::vector<double> weights;
-    std::stringstream stream(text);
-    std::string part;
-    while (std::getline(stream, part, ':')) {
-        try {
-            weights.push_back(fpmtool::parse_number(part, "--mix"));
-        } catch (const fpm::Error&) {
+    for (const std::string_view part : fpm::text::split(text, ':')) {
+        const auto weight = fpm::text::to_number<double>(part);
+        if (!weight) {
             return false;
         }
+        weights.push_back(*weight);
     }
     if (weights.size() != 4) {
         return false;

@@ -25,11 +25,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "fpm/common/error.hpp"
+#include "fpm/common/text.hpp"
 #include "fpm/serve/client.hpp"
 #include "tool_args.hpp"
 
@@ -54,32 +54,24 @@ std::vector<Row> load_csv(const std::string& path) {
         if (line.empty() || line[0] == '#') {
             continue;
         }
-        std::istringstream fields(line);
-        std::string set, device, size, seconds, extra;
-        const bool shaped = std::getline(fields, set, ',') &&
-                            std::getline(fields, device, ',') &&
-                            std::getline(fields, size, ',') &&
-                            std::getline(fields, seconds) &&
-                            !std::getline(fields, extra);
-        FPM_CHECK(shaped && !set.empty(),
-                  "line " + std::to_string(lineno) +
-                      ": expected set,device,size,seconds");
+        const auto fields = fpm::text::split(line, ',');
+        const std::string where = "line " + std::to_string(lineno) + ": ";
+        FPM_CHECK(fields.size() == 4 && !fields[0].empty(),
+                  where + "expected set,device,size,seconds");
+        const auto device = fpm::text::to_number<std::int64_t>(fields[1]);
+        const auto size = fpm::text::to_number<double>(fields[2]);
+        const auto seconds = fpm::text::to_number<double>(fields[3]);
+        FPM_CHECK(device, where + "malformed device: " + std::string(fields[1]));
+        FPM_CHECK(size, where + "malformed problem size: " +
+                            std::string(fields[2]));
+        FPM_CHECK(seconds,
+                  where + "malformed seconds: " + std::string(fields[3]));
         Row row;
         row.line = lineno;
-        row.sample.model_set = set;
-        row.sample.device = fpmtool::parse_int(
-            device, "device (line " + std::to_string(lineno) + ")");
-        errno = 0;
-        char* end = nullptr;
-        row.sample.problem_size = std::strtod(size.c_str(), &end);
-        FPM_CHECK(end != size.c_str() && *end == '\0' && errno == 0,
-                  "line " + std::to_string(lineno) +
-                      ": malformed problem size: " + size);
-        end = nullptr;
-        row.sample.seconds = std::strtod(seconds.c_str(), &end);
-        FPM_CHECK(end != seconds.c_str() && *end == '\0' && errno == 0,
-                  "line " + std::to_string(lineno) +
-                      ": malformed seconds: " + seconds);
+        row.sample.model_set = std::string(fields[0]);
+        row.sample.device = *device;
+        row.sample.problem_size = *size;
+        row.sample.seconds = *seconds;
         rows.push_back(row);
     }
     FPM_CHECK(!rows.empty(), "CSV file has no samples: " + path);

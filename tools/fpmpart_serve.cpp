@@ -40,8 +40,9 @@
 // printed on startup.
 //
 // Flags are declared once in the FlagTable below (which also generates
-// the usage text); most bind straight onto ServeConfig/AdaptConfig
-// fields, so defaults live in the config structs, not here.
+// the usage text); most bind straight onto ServeConfig, AdaptConfig,
+// RequestEngine::Options and store::StoreOptions fields, so defaults
+// live in the config structs, not here.
 //
 // Port 0 (the default) picks an ephemeral port; the bound port is
 // printed on startup.  The process serves until stdin reaches EOF
@@ -69,6 +70,9 @@ int main(int argc, char** argv) {
         adapt::AdaptConfig adapt_config;
         serve::ServeConfig config;
         serve::RequestEngine::Options engine_options;
+        std::string store_dir;
+        store::StoreOptions store_options;
+        std::string fsync_policy(store::to_string(store_options.fsync_policy));
         std::string replica_of;
         std::uint16_t repl_listen = 0;
 
@@ -89,9 +93,10 @@ int main(int argc, char** argv) {
                   &adapt_config.target_relative_error, 0.0)
             .bind("--adapt-drift", "X", &adapt_config.drift_threshold, 0.0)
             .bind("--adapt-cusum", "X", &adapt_config.cusum_limit, 0.0)
-            .bind("--store", "DIR", &config.store_dir)
-            .bind("--store-fsync", "always|never", &config.fsync_policy)
-            .bind("--store-snapshot-every", "N", &config.snapshot_every, 0)
+            .bind("--store", "DIR", &store_dir)
+            .bind("--store-fsync", "always|never", &fsync_policy)
+            .bind("--store-snapshot-every", "N",
+                  &store_options.snapshot_every, 0)
             .bind("--replica-of", "HOST:PORT", &replica_of)
             .bind("--repl-listen", "P", &repl_listen, 0, 65535)
             .trace();
@@ -100,7 +105,7 @@ int main(int argc, char** argv) {
         }
         // A server needs *some* source of models: CSVs, a recoverable
         // store, or a primary to replicate from.
-        if (model_specs.empty() && config.store_dir.empty() &&
+        if (model_specs.empty() && store_dir.empty() &&
             replica_of.empty()) {
             std::fprintf(stderr,
                          "error: need --models, --store or --replica-of\n%s",
@@ -116,7 +121,7 @@ int main(int argc, char** argv) {
                          flags.usage().c_str());
             return 2;
         }
-        if (flags.seen("--repl-listen") && config.store_dir.empty()) {
+        if (flags.seen("--repl-listen") && store_dir.empty()) {
             std::fprintf(stderr,
                          "error: --repl-listen requires --store "
                          "(replication ships the WAL)\n%s",
@@ -154,16 +159,13 @@ int main(int argc, char** argv) {
         }
         // Validate even without --store: a typo'd policy must not be
         // silently ignored just because durability is off today.
-        store::StoreOptions store_options;
         try {
-            store_options.fsync_policy =
-                store::parse_fsync_policy(config.fsync_policy);
+            store_options.fsync_policy = store::parse_fsync_policy(fsync_policy);
         } catch (const Error& e) {
             std::fprintf(stderr, "error: --store-fsync: %s\n%s", e.what(),
                          flags.usage().c_str());
             return 2;
         }
-        store_options.snapshot_every = config.snapshot_every;
 
         serve::ModelRegistry registry;
 
@@ -171,15 +173,15 @@ int main(int argc, char** argv) {
         // then attach so every publish below (including the --models
         // loads) is write-ahead logged before it commits.
         std::unique_ptr<store::ModelStore> model_store;
-        if (!config.store_dir.empty()) {
-            model_store = std::make_unique<store::ModelStore>(config.store_dir,
-                                                              store_options);
+        if (!store_dir.empty()) {
+            model_store =
+                std::make_unique<store::ModelStore>(store_dir, store_options);
             const auto recovered = model_store->recover(registry);
             std::printf("store '%s': recovered generation %llu "
                         "(%zu set(s), snapshot gen %llu + %llu WAL record(s), "
                         "%llu torn byte(s) truncated), fsync %s, "
                         "snapshot every %llu\n",
-                        config.store_dir.c_str(),
+                        store_dir.c_str(),
                         static_cast<unsigned long long>(
                             recovered.recovered_generation),
                         recovered.sets,

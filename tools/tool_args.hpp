@@ -13,16 +13,14 @@
 /// enforced, now without a tool ever writing its own usage string.
 ///
 /// Bindings: std::string (verbatim), bool (`on|off`), any non-bool
-/// integral type (whole-token parse + inclusive range check), double
-/// (whole-token parse + range check), and repeatable string lists.
+/// integral type and double (a number read by fpm::text::to_number,
+/// then an inclusive range check), and repeatable string lists.
 /// `--trace FILE` is shared by every tool via trace(): an explicit flag
 /// wins, otherwise the FPMPART_TRACE environment variable decides.
 #pragma once
 
-#include <cerrno>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <map>
@@ -31,31 +29,10 @@
 #include <vector>
 
 #include "fpm/common/error.hpp"
+#include "fpm/common/text.hpp"
 #include "fpm/obs/trace.hpp"
 
 namespace fpmtool {
-
-/// Checked whole-token integer parse (std::atol would silently yield 0).
-[[nodiscard]] inline long long parse_int(const std::string& text,
-                                         const std::string& what) {
-    errno = 0;
-    char* end = nullptr;
-    const long long parsed = std::strtoll(text.c_str(), &end, 10);
-    FPM_CHECK(end != text.c_str() && *end == '\0' && errno == 0,
-              "malformed integer for " + what + ": " + text);
-    return parsed;
-}
-
-/// Checked whole-token floating-point parse.
-[[nodiscard]] inline double parse_number(const std::string& text,
-                                         const std::string& what) {
-    errno = 0;
-    char* end = nullptr;
-    const double parsed = std::strtod(text.c_str(), &end);
-    FPM_CHECK(end != text.c_str() && *end == '\0' && errno == 0,
-              "malformed number for " + what + ": " + text);
-    return parsed;
-}
 
 /// See file comment.
 class FlagTable {
@@ -93,12 +70,12 @@ public:
         const std::string name = flag;
         add(flag, placeholder, false,
             [target, name, min, max](const std::string& value) {
-                const long long parsed = parse_int(value, name);
-                FPM_CHECK(parsed >= min && parsed <= max,
+                const auto parsed = fpm::text::to_number<long long>(value);
+                FPM_CHECK(parsed && *parsed >= min && *parsed <= max,
                           name + " expects an integer in [" +
                               std::to_string(min) + ", " +
                               std::to_string(max) + "], got " + value);
-                *target = static_cast<T>(parsed);
+                *target = static_cast<T>(*parsed);
             });
         return *this;
     }
@@ -110,10 +87,11 @@ public:
         const std::string name = flag;
         add(flag, placeholder, false,
             [target, name, min, max](const std::string& value) {
-                const double parsed = parse_number(value, name);
-                FPM_CHECK(parsed >= min && parsed <= max,
-                          name + " is out of range: " + value);
-                *target = parsed;
+                const auto parsed = fpm::text::to_number<double>(value);
+                FPM_CHECK(parsed && *parsed >= min && *parsed <= max,
+                          name + " expects a number in range, got " +
+                              value);
+                *target = *parsed;
             });
         return *this;
     }
